@@ -8,11 +8,12 @@ from .commutators import (CommutatorGenerator, NotFlagError,
                           generator_count, generator_words,
                           per_length_counts)
 from .cubical import (CubeComplex, Pi1Presentation, basis_certificate, build,
-                      euler_characteristic, fundamental_group_presentation,
-                      homology, homology_splitting_check, loop_class,
+                      certify, euler_characteristic,
+                      fundamental_group_presentation, homology,
+                      homology_splitting_check, loop_class,
                       wedge_of_circles_signature, word_class, word_to_loop)
 from .intlinalg import (ChainComplexError, HomologyGroup, IntMatrix,
-                        chain_homology, direct_sum, rank, smith_normal_form)
+                        chain_homology, direct_sum, smith_normal_form)
 from .simplicial import (Chordality, Graph, SimplicialComplex, clique_complex,
                          is_chordal, is_flag, reduced_homology)
 from .words import (CommutatorExpr, GroupSpec, abelianization, commutator,

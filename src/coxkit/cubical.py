@@ -14,16 +14,24 @@ characteristic, an edge-path fundamental-group presentation, and first
 homology classes of word loops.
 """
 
-from collections import deque
+from collections import deque, namedtuple
 from dataclasses import dataclass, field
 
-from .commutators import enumerate_generators, generator_count
+from . import words
+from .commutators import coxeter_spec, enumerate_generators, generator_count
 from .intlinalg import (HomologyGroup, IntMatrix, LeftReduction,
-                        chain_homology, direct_sum, smith_normal_form)
+                        boundary_maps, chain_homology, direct_sum,
+                        smith_normal_form)
 from .simplicial import _bits, _popcount, reduced_homology
-from .words import GroupSpec, abelianization
 
 MAX_CUBE_VERTICES = 12
+MAX_CHECK_VERTICES = 10     # cap of the splitting check and the certificate
+
+
+def _check_size(K, what):
+    if K.m > MAX_CHECK_VERTICES:
+        raise ValueError(f"m = {K.m} too large for {what} "
+                         f"(cap {MAX_CHECK_VERTICES})")
 
 
 class CubeComplex:
@@ -51,10 +59,6 @@ class CubeComplex:
         self._homology = None
         self._loops = None
 
-    @classmethod
-    def build(cls, K):
-        return cls(K)
-
     @property
     def cells(self):
         if self._cells is None:
@@ -80,23 +84,7 @@ class CubeComplex:
     @property
     def boundaries(self):
         if self._boundaries is None:
-            cells = self.cells
-            index = [{cell: i for i, cell in enumerate(level)}
-                     for level in cells]
-            boundaries = [IntMatrix.zero(0, len(cells[0]))]
-            for k in range(1, self.dim + 1):
-                entries = {}
-                for col, (free, signs) in enumerate(cells[k]):
-                    sign = 1
-                    for i in _bits(free):
-                        smaller = free & ~(1 << i)
-                        plus = signs | (1 << i)
-                        entries[index[k - 1][smaller, plus], col] = sign
-                        entries[index[k - 1][smaller, signs], col] = -sign
-                        sign = -sign
-                boundaries.append(
-                    IntMatrix(len(cells[k - 1]), len(cells[k]), entries))
-            self._boundaries = boundaries
+            self._boundaries = boundary_maps(self.cells, _cube_faces)
         return self._boundaries
 
     def cell_counts(self):
@@ -124,6 +112,16 @@ class CubeComplex:
         if self._loops is None:
             self._loops = _LoopSystem(self)
         return self._loops
+
+
+def _cube_faces(cell):
+    free, signs = cell
+    sign = 1
+    for i in _bits(free):
+        smaller = free & ~(1 << i)
+        yield (smaller, signs | (1 << i)), sign
+        yield (smaller, signs), -sign
+        sign = -sign
 
 
 def build(K):
@@ -166,14 +164,13 @@ class SplittingReport:
         return self.passed
 
 
-def homology_splitting_check(K, max_m=10):
+def homology_splitting_check(K):
     """Compare the cubical model's homology with the direct sum, over all
     vertex subsets J, of the reduced homology of K restricted to J shifted
     up by one degree.  The two sides are computed by entirely independent
     code paths and must agree (Betti numbers and torsion) in every degree.
     """
-    if K.m > max_m:
-        raise ValueError(f"m = {K.m} too large for the splitting check")
+    _check_size(K, "the splitting check")
     left = CubeComplex(K).homology()
     per_degree = [[] for _ in range(K.m + 1)]
     for mask in range(1 << K.m):
@@ -209,10 +206,8 @@ class _LoopSystem:
     """
 
     def __init__(self, R):
-        self.R = R
         m = R.m
         base = (1 << m) - 1
-        self.basepoint = base
         parent = {base: None}
         order = deque([base])
         tree = set()
@@ -224,7 +219,6 @@ class _LoopSystem:
                     parent[w] = v
                     tree.add((axis, v & ~(1 << axis)))
                     order.append(w)
-        self.tree_edges = tree
         edge_cells = R.cells[1] if len(R.cells) > 1 else []
         self.nontree = []
         self.nontree_index = {}
@@ -316,7 +310,7 @@ def word_to_loop(R, w, spec):
         raise ValueError("word group and cubical model have different ranks")
     if not spec.is_coxeter():
         raise ValueError("edge paths need every generator of order 2")
-    if any(abelianization(w, spec)):
+    if any(words.abelianization(w, spec)):
         raise ValueError("word does not close up: nonzero exponent sum")
     pos = (1 << R.m) - 1
     steps = []
@@ -346,6 +340,21 @@ def word_class(R, w, spec):
     return loop_class(R, word_to_loop(R, w, spec))
 
 
+def _is_homology_basis(K, spec, gen_words):
+    R = CubeComplex(K)
+    loops = R.loop_system()
+    if len(gen_words) != loops.betti1:
+        return False
+    entries = {}
+    for r, w in enumerate(gen_words):
+        for c, v in enumerate(word_class(R, w, spec)):
+            if v:
+                entries[r, c] = v
+    mat = IntMatrix(len(gen_words), loops.betti1, entries)
+    factors = smith_normal_form(mat)
+    return factors == [1] * len(gen_words)
+
+
 def basis_certificate(K):
     """Whether the commutator generators' loop classes form a basis of the
     first homology of the cubical model.
@@ -355,24 +364,32 @@ def basis_certificate(K):
     equal to the generator count with every invariant factor 1, plus
     agreement between the count and the first Betti number.
     """
-    if K.m > 10:
-        raise ValueError(f"m = {K.m} too large for the basis certificate "
-                         "(cap 10)")
-    R = CubeComplex(K)
-    loops = R.loop_system()
-    spec = GroupSpec.coxeter(K.one_skeleton())
-    gens = enumerate_generators(K)
-    if len(gens) != loops.betti1:
-        return False
-    entries = {}
-    for r, gen in enumerate(gens):
-        w = gen.word(spec)
-        for c, v in enumerate(word_class(R, w, spec)):
-            if v:
-                entries[r, c] = v
-    mat = IntMatrix(len(gens), loops.betti1, entries)
-    factors = smith_normal_form(mat)
-    return factors == [1] * len(gens)
+    _check_size(K, "the basis certificate")
+    spec = coxeter_spec(K)
+    return _is_homology_basis(
+        K, spec, [gen.word(spec) for gen in enumerate_generators(K)])
+
+
+Certificate = namedtuple("Certificate",
+                         "count kernel nontrivial basis verdict")
+
+
+def certify(K):
+    """Check the commutator generators of ``K`` (m <= 10), expanding each
+    to its word once: every word has zero abelianization (``kernel``), none
+    is trivial by normal form or by the reflection oracle (``nontrivial``),
+    and the loop classes form a first-homology basis (``basis``, which
+    needs closed loops, so it fails whenever ``kernel`` does)."""
+    _check_size(K, "the certificate")
+    spec = coxeter_spec(K)
+    gen_words = [gen.word(spec) for gen in enumerate_generators(K)]
+    zero = (0,) * K.m
+    kernel = all(words.abelianization(w, spec) == zero for w in gen_words)
+    nontrivial = all(w and not words.is_identity_matrix(
+        words.geometric_representation(w, spec)) for w in gen_words)
+    basis = kernel and _is_homology_basis(K, spec, gen_words)
+    return Certificate(len(gen_words), kernel, nontrivial, basis,
+                       kernel and nontrivial and basis)
 
 
 def wedge_of_circles_signature(K):

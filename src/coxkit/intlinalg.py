@@ -115,9 +115,6 @@ class IntMatrix:
         return (self.rows, self.cols, self._data) == \
             (other.rows, other.cols, other._data)
 
-    def __hash__(self):
-        return hash((self.rows, self.cols, frozenset(self._data.items())))
-
     def __repr__(self):
         return f"IntMatrix({self.rows}x{self.cols}, nnz={self.nnz()})"
 
@@ -170,9 +167,6 @@ class HomologyGroup:
             for p, e in _factorint(t).items():
                 divisors.append(p ** e)
         return sorted(divisors)
-
-    def direct_sum(self, other):
-        return direct_sum([self, other])
 
     def __str__(self):
         parts = []
@@ -435,11 +429,6 @@ def smith_normal_form(mat):
     return [d for (_, _, d) in red.pivots]
 
 
-def rank(mat):
-    """Rank of an integer matrix over the rationals."""
-    return len(smith_normal_form(mat))
-
-
 class LeftReduction:
     """Smith reduction of ``mat`` that remembers the left transform.
 
@@ -461,7 +450,6 @@ class LeftReduction:
         order = [r for (r, _, _) in red.pivots]
         seen = set(order)
         order.extend(r for r in range(mat.rows) if r not in seen)
-        self.rows = mat.rows
         self._u_rows = [red.left[r] for r in order]
 
     def apply(self, vec):
@@ -488,13 +476,6 @@ class LeftReduction:
         y = self.apply(vec)
         tors = tuple(y[k] % self.factors[k] for k in range(self.rank))
         return tors, tuple(y[self.rank:])
-
-    def as_matrix(self):
-        entries = {}
-        for i, urow in enumerate(self._u_rows):
-            for k, v in urow.items():
-                entries[i, k] = v
-        return IntMatrix(self.rows, self.rows, entries)
 
 
 def smith_normal_form_with_transforms(mat):
@@ -532,6 +513,22 @@ def smith_normal_form_with_transforms(mat):
 
 class ChainComplexError(ValueError):
     """The supplied boundary maps do not form a chain complex."""
+
+
+def boundary_maps(levels, faces):
+    """Boundary matrices for :func:`chain_homology` of the complex with
+    degree-k cells ``levels[k]``, where ``faces(cell)`` yields the (face,
+    sign) pairs of a cell's boundary, distinct cells of the level below."""
+    boundaries = [IntMatrix.zero(0, len(levels[0]))]
+    for k in range(1, len(levels)):
+        below = {cell: i for i, cell in enumerate(levels[k - 1])}
+        entries = {}
+        for col, cell in enumerate(levels[k]):
+            for face, sign in faces(cell):
+                entries[below[face], col] = sign
+        boundaries.append(
+            IntMatrix(len(levels[k - 1]), len(levels[k]), entries))
+    return boundaries
 
 
 def chain_homology(boundaries):

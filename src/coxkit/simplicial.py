@@ -12,7 +12,7 @@ bitmasks and loops over all 2^m vertex subsets stay feasible.
 from collections import deque
 from functools import lru_cache
 
-from .intlinalg import IntMatrix, chain_homology
+from .intlinalg import boundary_maps, chain_homology
 
 MAX_VERTICES = 24
 
@@ -33,7 +33,7 @@ def _bits(mask):
 def _mask_of(vertices, m, what="vertex list"):
     mask = 0
     for v in vertices:
-        if not isinstance(v, int) or not 1 <= v <= m:
+        if isinstance(v, bool) or not isinstance(v, int) or not 1 <= v <= m:
             raise ValueError(f"{what}: vertex {v!r} out of range 1..{m}")
         mask |= 1 << (v - 1)
     return mask
@@ -154,9 +154,6 @@ class SimplicialComplex:
         return cls.from_maximal_faces(m, [])
 
     # -- basic queries -----------------------------------------------------
-
-    def has_face(self, vertices):
-        return _mask_of(vertices, self.m) in self.faces
 
     def dim(self):
         return max(_popcount(f) for f in self.faces) - 1
@@ -398,24 +395,21 @@ def is_chordal(graph):
 # Reduced homology
 # ---------------------------------------------------------------------------
 
+def _simplex_faces(f):
+    sign = 1
+    for i in _bits(f):
+        yield f & ~(1 << i), sign
+        sign = -sign
+
+
 @lru_cache(maxsize=None)
 def _reduced_homology_key(m, faces):
+    # level k holds the faces with k vertices; the empty face spans degree -1
     by_size = {}
     for f in faces:
         by_size.setdefault(_popcount(f), []).append(f)
-    top = max(by_size)
-    sizes = [sorted(by_size.get(k, ())) for k in range(top + 1)]
-    index = [{f: i for i, f in enumerate(level)} for level in sizes]
-    boundaries = [IntMatrix.zero(0, 1)]   # the empty face spans degree -1
-    for k in range(1, top + 1):
-        entries = {}
-        for col, f in enumerate(sizes[k]):
-            sign = 1
-            for i in _bits(f):
-                entries[index[k - 1][f & ~(1 << i)], col] = sign
-                sign = -sign
-        boundaries.append(IntMatrix(len(sizes[k - 1]), len(sizes[k]), entries))
-    return chain_homology(boundaries)
+    levels = [sorted(by_size.get(k, ())) for k in range(max(by_size) + 1)]
+    return chain_homology(boundary_maps(levels, _simplex_faces))
 
 
 def reduced_homology(K):

@@ -307,12 +307,6 @@ def verify_swap(p, q, x, spec):
 # Geometric (reflection) representation for the all-orders-2 case
 # ---------------------------------------------------------------------------
 
-def _require_coxeter(spec):
-    if not spec.is_coxeter():
-        raise ValueError("the reflection representation needs every "
-                         "generator to have order 2")
-
-
 def _apply_reflection(rows, i0, noncommuting_rows):
     """Left-multiply the row-list matrix by the reflection of generator
     i0 (0-based): only row i0 changes."""
@@ -336,7 +330,9 @@ def geometric_representation(w, spec):
     matrix is the identity exactly when ``w`` is the identity element;
     this is the package's independent word-problem oracle.
     """
-    _require_coxeter(spec)
+    if not spec.is_coxeter():
+        raise ValueError("the reflection representation needs every "
+                         "generator to have order 2")
     m = spec.m
     noncomm = []
     for i in range(m):

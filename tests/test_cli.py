@@ -1,11 +1,16 @@
 import json
+import re
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from coxkit import cubical
 from coxkit.cli import DocumentError, main, parse_document
+from coxkit.commutators import CommutatorGenerator
+from coxkit.intlinalg import IntMatrix
 from coxkit.simplicial import SimplicialComplex
 
 PATH4_DOC = '{"m": 4, "maximal_faces": [[1,2],[2,3],[4]]}'
@@ -175,3 +180,56 @@ def test_console_script_reads_stdin():
                            input=PATH4_DOC, text=True,
                            capture_output=True)
     assert result.stdout == again.stdout
+
+
+def test_parse_document_rejects_boolean_vertices():
+    with pytest.raises(DocumentError, match="vertex True"):
+        parse_document('{"m":3,"maximal_faces":[[true,2]]}')
+
+
+def test_certify_checks_size_cap_before_building_words(
+        tmp_path, capsys, monkeypatch):
+    def no_words(self, spec):
+        raise AssertionError("word built before the size cap was checked")
+    monkeypatch.setattr(CommutatorGenerator, "word", no_words)
+    doc = json.dumps({"m": 11, "maximal_faces": []})
+    code, _, err = run(capsys, "certify", write(tmp_path, doc))
+    assert code == 2 and "too large" in err
+
+
+def test_broken_chain_complex_is_an_internal_error(
+        tmp_path, capsys, monkeypatch):
+    not_a_complex = [IntMatrix.zero(0, 1), IntMatrix.from_dense([[1]]),
+                     IntMatrix.from_dense([[1]])]
+    monkeypatch.setattr(cubical.CubeComplex, "boundaries",
+                        property(lambda self: not_a_complex))
+    code, out, err = run(capsys, "homology", write(tmp_path, C4_DOC))
+    assert code == 3 and out == ""
+    assert err.splitlines()[-1].startswith("internal error: ChainComplexError")
+
+
+def test_failed_assertion_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    def broken(self, R):
+        raise AssertionError("unexpected torsion")
+    monkeypatch.setattr(cubical._LoopSystem, "__init__", broken)
+    code, out, err = run(capsys, "pi1", write(tmp_path, C4_DOC))
+    assert code == 3 and out == ""
+    assert err.splitlines()[-1].startswith("internal error: AssertionError")
+
+
+README_EXAMPLE = re.compile(
+    r"^\$ echo '([^'\n]*)' \| coxkit ([^\n]*) -\n(.*?)^```", re.M | re.S)
+
+
+def test_readme_examples_byte_for_byte():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    examples = README_EXAMPLE.findall(readme.read_text(encoding="utf-8"))
+    assert len(examples) == 2
+    exe = shutil.which("coxkit")
+    argv = [exe] if exe else [sys.executable, "-m", "coxkit.cli"]
+    for doc, command, expected in examples:
+        result = subprocess.run(argv + command.split() + ["-"],
+                                input=(doc + "\n").encode(),
+                                capture_output=True)
+        assert result.returncode == 0
+        assert result.stdout == expected.encode()

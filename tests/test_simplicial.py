@@ -194,3 +194,8 @@ def test_reduced_homology_sphere_and_torsion():
     hs = reduced_homology(rp2)
     assert hs[2] .betti == 0 and hs[2].torsion == (2,)
     assert hs[3].is_trivial()
+
+
+def test_from_maximal_faces_rejects_boolean_vertices():
+    with pytest.raises(ValueError, match="vertex True"):
+        SimplicialComplex.from_maximal_faces(3, [[True, 3]])
