@@ -50,8 +50,11 @@ class Graph:
         adj = [0] * m
         for e in edges:
             a, b = e
-            if not (1 <= a <= m and 1 <= b <= m):
-                raise ValueError(f"edge {e}: vertex out of range 1..{m}")
+            for v in (a, b):
+                if isinstance(v, bool) or not isinstance(v, int) or \
+                        not 1 <= v <= m:
+                    raise ValueError(
+                        f"edge {e}: vertex {v!r} out of range 1..{m}")
             if a == b:
                 raise ValueError(f"edge {e}: loops not allowed")
             adj[a - 1] |= 1 << (b - 1)
@@ -385,7 +388,10 @@ def is_chordal(graph):
             for bi in range(ai + 1, len(earlier)):
                 if not graph.adj[earlier[ai]] >> earlier[bi] & 1:
                     cycle = _find_chordless_cycle(graph)
-                    assert cycle is not None
+                    if cycle is None:
+                        raise RuntimeError(
+                            "MCS order is not a perfect elimination ordering "
+                            "but no chordless cycle was found")
                     return Chordality(False, cycle=cycle)
     ordering = tuple(graph.labels[v] for v in order)
     return Chordality(True, ordering=ordering)

@@ -63,7 +63,8 @@ class GroupSpec:
         return self.graph.has_edge(i, j)
 
     def check_vertex(self, v):
-        if not isinstance(v, int) or not 1 <= v <= self.m:
+        if isinstance(v, bool) or not isinstance(v, int) or \
+                not 1 <= v <= self.m:
             raise ValueError(f"vertex {v!r} out of range 1..{self.m}")
 
     def is_coxeter(self):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from coxkit import cubical
+from coxkit import cubical, simplicial
 from coxkit.cli import DocumentError, main, parse_document
 from coxkit.commutators import CommutatorGenerator
 from coxkit.intlinalg import IntMatrix
@@ -215,6 +215,15 @@ def test_failed_assertion_is_an_internal_error(tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, "pi1", write(tmp_path, C4_DOC))
     assert code == 3 and out == ""
     assert err.splitlines()[-1].startswith("internal error: AssertionError")
+
+
+def test_chordal_without_certificate_is_an_internal_error(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(simplicial, "_find_chordless_cycle",
+                        lambda graph: None)
+    code, out, err = run(capsys, "chordal", write(tmp_path, C4_DOC))
+    assert code == 3 and out == ""
+    assert err.splitlines()[-1].startswith("internal error: RuntimeError")
 
 
 README_EXAMPLE = re.compile(

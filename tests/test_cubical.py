@@ -3,7 +3,8 @@ import random
 import pytest
 
 from coxkit.commutators import coxeter_spec, generator_count
-from coxkit.cubical import (basis_certificate, build, euler_characteristic,
+from coxkit.cubical import (CubeComplex, basis_certificate, build,
+                            euler_characteristic,
                             fundamental_group_presentation, homology,
                             homology_splitting_check, loop_class,
                             wedge_of_circles_signature, word_class,
@@ -76,6 +77,14 @@ def test_cycle_surfaces():
         assert euler_characteristic(R) == 2 - 2 * genus
 
 
+def test_cycle10_homology():
+    # genus (m - 4) * 2 ** (m - 3) + 1 = 769, from a 1,024 x 5,120 and a
+    # 5,120 x 2,560 boundary
+    hs = CubeComplex(SimplicialComplex.cycle(10)).homology()
+    assert [h.betti for h in hs] == [1, 1538, 1]
+    assert all(not h.torsion for h in hs)
+
+
 def test_euler_characteristic():
     assert euler_characteristic(build(C4)) == 0
     for m in (2, 3, 4, 5):
@@ -120,6 +129,10 @@ def test_splitting_check_random_m6():
     rng = random.Random(61)
     for _ in range(12):
         assert homology_splitting_check(random_complex(6, rng)).passed
+
+
+def test_splitting_check_random_m9():
+    assert homology_splitting_check(random_complex(9, random.Random(9))).passed
 
 
 def test_splitting_check_sees_torsion():

@@ -4,8 +4,7 @@ import pytest
 
 from coxkit.intlinalg import (ChainComplexError, HomologyGroup, IntMatrix,
                               LeftReduction, chain_homology, direct_sum,
-                              smith_normal_form,
-                              smith_normal_form_with_transforms)
+                              smith_normal_form)
 from helpers import minor_gcd_invariant_factors
 
 
@@ -60,22 +59,41 @@ def test_snf_invariance_under_permutation_and_negation():
         assert smith_normal_form(IntMatrix.from_dense(shuffled)) == base
 
 
-def test_snf_transforms_diagonalise():
+def test_snf_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+    rng = random.Random(11)
+    for _ in range(150):
+        r = rng.randint(1, 9)
+        c = rng.randint(1, 9)
+        density = rng.choice([0.3, 0.6, 1.0])
+        scale = rng.choice([1, 1, 2, 6])
+        dense = [[scale * rng.randint(-5, 5) if rng.random() < density else 0
+                  for _ in range(c)] for _ in range(r)]
+        D = sympy_snf(sympy.Matrix(dense), domain=sympy.ZZ)
+        want = [abs(int(D[k, k])) for k in range(min(r, c)) if D[k, k]]
+        assert smith_normal_form(IntMatrix.from_dense(dense)) == want, dense
+
+
+def test_left_reduction_transform():
     rng = random.Random(5)
+    torsion_seen = 0
     for _ in range(200):
-        r = rng.randint(1, 5)
-        c = rng.randint(1, 5)
-        dense = [[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)]
+        r = rng.randint(1, 6)
+        c = rng.randint(1, 6)
+        # a scaled matrix holds no unit, so only the Euclidean phase runs
+        scale = rng.choice([1, 1, 2, 3])
+        dense = [[scale * rng.randint(-9 // scale, 9 // scale)
+                  for _ in range(c)] for _ in range(r)]
         M = IntMatrix.from_dense(dense)
-        factors, U, V = smith_normal_form_with_transforms(M)
-        D = (U @ M) @ V
-        for i in range(r):
-            for j in range(c):
-                want = factors[i] if i == j and i < len(factors) else 0
-                assert D.entry(i, j) == want
-        # transforms are unimodular
+        red = LeftReduction(M)
+        assert red.factors == minor_gcd_invariant_factors(dense), dense
+        U = IntMatrix(r, r, {(i, k): v for i, urow in enumerate(red._u_rows)
+                             for k, v in urow.items()})
         assert smith_normal_form(U) == [1] * r
-        assert smith_normal_form(V) == [1] * c
+        assert all(i < red.rank for (i, _), _ in (U @ M).items())
+        torsion_seen += any(d > 1 for d in red.factors)
+    assert torsion_seen >= 20
 
 
 def test_left_reduction_cokernel_classes():

@@ -71,6 +71,13 @@ def test_invalid_input():
         GroupSpec(Graph(2, []), (1, 2))
 
 
+def test_boolean_vertices_rejected():
+    with pytest.raises(ValueError, match="vertex True"):
+        Graph(3, [(True, 2)])
+    with pytest.raises(ValueError, match="vertex True"):
+        normal_form(((True, 1), (2, 1)), GroupSpec.coxeter(Graph(3, [])))
+
+
 def test_multiply_inverse_identity():
     rng = random.Random(1)
     for spec in _specs():
