@@ -132,7 +132,9 @@ def enumerate_generators(K):
                 j_comp = comp
             else:
                 others.append(comp)
-        assert j_comp is not None
+        if j_comp is None:
+            raise RuntimeError(f"no component of support {mask:#x} holds "
+                               f"its largest vertex {j}")
         for comp in others:
             i = (comp & -comp).bit_length()
             ks = tuple(b + 1 for b in _bits(mask & ~(1 << (i - 1)) & ~j_bit))

@@ -39,14 +39,19 @@ def _mask_of(vertices, m, what="vertex list"):
     return mask
 
 
+def _check_vertex_count(m, low):
+    if isinstance(m, bool) or not isinstance(m, int) or \
+            not low <= m <= MAX_VERTICES:
+        raise ValueError(f"vertex count {m!r} outside {low}..{MAX_VERTICES}")
+
+
 class Graph:
     """Simple undirected graph on vertices 1..m (no loops, no multi-edges)."""
 
     __slots__ = ("m", "adj", "labels")
 
     def __init__(self, m, edges=(), labels=None):
-        if not 0 <= m <= MAX_VERTICES:
-            raise ValueError(f"vertex count {m} outside 0..{MAX_VERTICES}")
+        _check_vertex_count(m, 0)
         adj = [0] * m
         for e in edges:
             a, b = e
@@ -99,8 +104,7 @@ class SimplicialComplex:
     __slots__ = ("m", "faces", "labels", "_skeleton")
 
     def __init__(self, m, faces, labels=None):
-        if not 0 <= m <= MAX_VERTICES:
-            raise ValueError(f"vertex count {m} outside 0..{MAX_VERTICES}")
+        _check_vertex_count(m, 0)
         faces = frozenset(faces)
         if 0 not in faces:
             raise ValueError("the empty face must be present")
@@ -126,8 +130,7 @@ class SimplicialComplex:
         """Downward closure of the given faces plus the empty face and all
         singletons.  Vertices are 1-based; re-listing non-maximal faces is
         harmless."""
-        if not 1 <= m <= MAX_VERTICES:
-            raise ValueError(f"vertex count {m} outside 1..{MAX_VERTICES}")
+        _check_vertex_count(m, 1)
         faces = {0}
         faces.update(1 << i for i in range(m))
         for fl in maximal:

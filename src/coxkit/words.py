@@ -15,17 +15,30 @@ Reduced words for a fixed element differ only by such swaps, so two words
 represent the same group element exactly when their normal forms are
 equal.
 
+:func:`normal_form` makes one pass over the word with a stack of live
+letters per vertex (the "piling" of Crisp-Godelle-Wiest): a new letter
+merges into the top letter of its vertex unless a live letter of a
+non-commuting vertex lies above that one, and a merge to exponent 0 pops
+it.  A popped letter never separated two letters of one vertex, so
+nothing is re-read.  The live letters then form a heap of pieces: each
+waits for the last earlier live letter of its own vertex and of every
+vertex it does not commute with.  Repeatedly emitting the waiting-free
+letter of smallest vertex, kept in a priority queue, gives the least
+order (Anisimov-Knuth).  The cost is O(n m) for n letters on m vertices.
+
 Beware that the least order is not reachable by naively swapping adjacent
 out-of-order commuting letters: with commuting pairs {1,2} and {2,3} only,
 the words (3)(1)(2) and (2)(3)(1) spell the same element and neither has
-an adjacent swappable pair.  The least representative is instead found
-greedily, repeatedly emitting the smallest letter that can be moved to
-the front through letters it commutes with.
+an adjacent swappable pair.  The extraction above looks past such pairs
+because a letter is free once everything before it commutes with it, not
+only its neighbour.
 
 For the all-orders-2 case, :func:`geometric_representation` provides an
 independent exact-integer check of the word problem through the standard
 faithful reflection representation.
 """
+
+from heapq import heapify, heappop, heappush
 
 from .intlinalg import IntMatrix
 
@@ -36,7 +49,7 @@ class GroupSpec:
     ``orders[i]`` is the order of g_{i+1}: an int >= 2 or None for infinite.
     """
 
-    __slots__ = ("m", "graph", "orders")
+    __slots__ = ("m", "graph", "orders", "noncommuting")
 
     def __init__(self, graph, orders):
         orders = tuple(orders)
@@ -48,6 +61,15 @@ class GroupSpec:
         self.m = graph.m
         self.graph = graph
         self.orders = orders
+        # noncommuting[i]: the 0-based vertices other than i whose letters
+        # do not commute with those of vertex i, in increasing order
+        noncommuting = [[] for _ in range(self.m)]
+        for i, adj in enumerate(graph.adj):
+            for j in range(i + 1, self.m):
+                if not adj >> j & 1:
+                    noncommuting[i].append(j)
+                    noncommuting[j].append(i)
+        self.noncommuting = tuple(map(tuple, noncommuting))
 
     @classmethod
     def coxeter(cls, graph):
@@ -67,6 +89,11 @@ class GroupSpec:
                 not 1 <= v <= self.m:
             raise ValueError(f"vertex {v!r} out of range 1..{self.m}")
 
+    def check_letter(self, v, e):
+        self.check_vertex(v)
+        if isinstance(e, bool) or not isinstance(e, int):
+            raise ValueError(f"exponent {e!r} is not an integer")
+
     def is_coxeter(self):
         return all(o == 2 for o in self.orders)
 
@@ -79,92 +106,108 @@ def generator(v, exponent=1):
     return ((v, exponent),)
 
 
-def _push(out, v, e, spec):
-    """Append g_v^e to the reduced word ``out`` (a list), re-reducing."""
-    o = spec.orders[v - 1]
-    if o is not None:
-        e %= o
-    if e == 0:
-        return
-    # merge scan: walk left over letters commuting with v; a letter at the
-    # same vertex inside that window must absorb the new exponent
-    k = len(out) - 1
-    while k >= 0:
-        u, f = out[k]
-        if u == v:
-            g = f + e
-            if o is not None:
-                g %= o
-            if g:
-                out[k] = (u, g)
-            else:
-                del out[k]
-                # the letters that sat to the right of the vanished one may
-                # now interact across the gap; re-insert them
-                tail = out[k:]
-                del out[k:]
-                for tv, te in tail:
-                    _push(out, tv, te, spec)
-            return
-        if not spec.commutes(u, v):
-            break
-        k -= 1
-    out.append((v, e))
-
-
-def _least_order(reduced, spec):
-    """Lexicographically least shuffle of a reduced word.
-
-    Greedy: a letter is available when everything before it commutes with
-    it; emit the available letter with the smallest vertex and repeat.
-    Two available letters never share a vertex (the earlier would block
-    the later), so the choice is unambiguous.
-    """
-    adj = spec.graph.adj
-    remaining = list(reduced)
-    out = []
-    while remaining:
-        seen = 0
-        best = None
-        for idx, (v, _) in enumerate(remaining):
-            if not seen & ~adj[v - 1] and (best is None
-                                           or v < remaining[best][0]):
-                best = idx
-            seen |= 1 << (v - 1)
-        out.append(remaining.pop(best))
-    return tuple(out)
-
-
 def normal_form(word, spec):
     """The canonical representative of the group element spelt by ``word``.
+
+    One pass reduces and one extracts (see the module docstring); the cost
+    is O(n m) for n letters on m vertices.
 
     >>> from coxkit.simplicial import Graph
     >>> rc = GroupSpec.coxeter(Graph(2, []))
     >>> normal_form(((1, 1), (1, 1)), rc)
     ()
     """
-    out = []
+    orders = spec.orders
+    blockers = spec.noncommuting
+    # reduction: letter k is (verts[k], exps[k]), with exponent 0 once it
+    # has cancelled; tops[i] is the last live letter at vertex i (-1 if
+    # none), and below[k] the live letter that was top when k was pushed.
+    # Only a top letter ever cancels, so each vertex's live letters form a
+    # stack threaded through ``below``.
+    verts = []
+    exps = []
+    below = []
+    tops = [-1] * spec.m
     for v, e in word:
-        spec.check_vertex(v)
-        if not isinstance(e, int):
-            raise ValueError(f"exponent {e!r} is not an integer")
-        _push(out, v, e, spec)
-    return _least_order(out, spec)
+        spec.check_letter(v, e)
+        i = v - 1
+        o = orders[i]
+        if o is not None:
+            e %= o
+        if not e:
+            continue
+        t = tops[i]
+        if t >= 0:
+            for u in blockers[i]:
+                if tops[u] > t:
+                    break
+            else:
+                # nothing above letter t blocks it: merge into it
+                g = exps[t] + e
+                if o is not None:
+                    g %= o
+                exps[t] = g
+                if not g:
+                    tops[i] = below[t]
+                continue
+        tops[i] = len(verts)
+        below.append(t)
+        verts.append(i)
+        exps.append(e)
+    # extraction: each live letter waits for the last earlier live letter
+    # of its own vertex and of each vertex not commuting with it (an edge
+    # from a letter older than the same-vertex one is implied, so skipped)
+    last = [-1] * spec.m
+    waiting = [0] * len(verts)
+    after = [[] for _ in verts]
+    ready = []
+    for k, i in enumerate(verts):
+        if not exps[k]:
+            continue
+        q = last[i]
+        needs = 0
+        if q >= 0:
+            after[q].append(k)
+            needs = 1
+        for u in blockers[i]:
+            p = last[u]
+            if p > q:
+                after[p].append(k)
+                needs += 1
+        last[i] = k
+        if needs:
+            waiting[k] = needs
+        else:
+            ready.append((i, k))
+    heapify(ready)
+    out = []
+    while ready:
+        i, k = heappop(ready)
+        out.append((i + 1, exps[k]))
+        for s in after[k]:
+            waiting[s] -= 1
+            if not waiting[s]:
+                heappush(ready, (verts[s], s))
+    return tuple(out)
+
+
+def _inverse_letters(u, spec):
+    """The letters of u^-1: reversed, exponents negated, not reduced."""
+    out = []
+    for v, e in reversed(u):
+        spec.check_letter(v, e)
+        out.append((v, -e))
+    return tuple(out)
 
 
 def multiply(u, v, spec):
     """Normal form of the product u v."""
-    out = []
-    for w in (u, v):
-        for vert, e in w:
-            spec.check_vertex(vert)
-            _push(out, vert, e, spec)
-    return _least_order(out, spec)
+    return normal_form(tuple(u) + tuple(v), spec)
 
 
 def inverse(u, spec):
     """Normal form of u^-1 (letters reversed, exponents negated)."""
-    return normal_form(tuple((v, -e) for v, e in reversed(u)), spec)
+    return normal_form(_inverse_letters(u, spec), spec)
 
 
 def is_identity(u, spec):
@@ -179,7 +222,7 @@ def abelianization(w, spec):
     """
     vec = [0] * spec.m
     for v, e in w:
-        spec.check_vertex(v)
+        spec.check_letter(v, e)
         vec[v - 1] += e
     for i, o in enumerate(spec.orders):
         if o is not None:
@@ -188,11 +231,11 @@ def abelianization(w, spec):
 
 
 def commutator(u, v, spec):
-    """Normal form of the group commutator (u, v) = u^-1 v^-1 u v."""
-    uw = normal_form(u, spec)
-    vw = normal_form(v, spec)
-    word = inverse(uw, spec) + inverse(vw, spec) + uw + vw
-    return normal_form(word, spec)
+    """Normal form of the group commutator (u, v) = u^-1 v^-1 u v, taken
+    as one normal form of that word (u^-1 v^-1 spelt as (v u)^-1)."""
+    u = tuple(u)
+    v = tuple(v)
+    return normal_form(_inverse_letters(v + u, spec) + u + v, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +386,7 @@ def geometric_representation(w, spec):
     # ((v1,e1), ..., (vL,eL)) acts as the product of the letter matrices,
     # accumulated right to left so each letter is a cheap row update
     for v, e in reversed(w):
-        spec.check_vertex(v)
+        spec.check_letter(v, e)
         if e % 2:
             _apply_reflection(rows, v - 1, noncomm[v - 1])
     return IntMatrix.from_dense(rows)

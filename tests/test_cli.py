@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from coxkit import cubical, simplicial
+from coxkit import commutators, cubical, simplicial
 from coxkit.cli import DocumentError, main, parse_document
 from coxkit.commutators import CommutatorGenerator
 from coxkit.intlinalg import IntMatrix
@@ -222,6 +222,15 @@ def test_chordal_without_certificate_is_an_internal_error(
     monkeypatch.setattr(simplicial, "_find_chordless_cycle",
                         lambda graph: None)
     code, out, err = run(capsys, "chordal", write(tmp_path, C4_DOC))
+    assert code == 3 and out == ""
+    assert err.splitlines()[-1].startswith("internal error: RuntimeError")
+
+
+def test_gens_without_top_component_is_an_internal_error(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(commutators, "_components_masks",
+                        lambda K, sub_mask: [])
+    code, out, err = run(capsys, "gens", write(tmp_path, PATH4_DOC))
     assert code == 3 and out == ""
     assert err.splitlines()[-1].startswith("internal error: RuntimeError")
 

@@ -199,3 +199,12 @@ def test_reduced_homology_sphere_and_torsion():
 def test_from_maximal_faces_rejects_boolean_vertices():
     with pytest.raises(ValueError, match="vertex True"):
         SimplicialComplex.from_maximal_faces(3, [[True, 3]])
+
+
+def test_boolean_vertex_counts_rejected():
+    with pytest.raises(ValueError, match="vertex count True"):
+        Graph(True)
+    with pytest.raises(ValueError, match="vertex count True"):
+        SimplicialComplex.from_maximal_faces(True, [[1]])
+    with pytest.raises(ValueError, match="vertex count True"):
+        SimplicialComplex(True, [0, 1])

@@ -78,6 +78,18 @@ def test_boolean_vertices_rejected():
         normal_form(((True, 1), (2, 1)), GroupSpec.coxeter(Graph(3, [])))
 
 
+def test_boolean_exponents_rejected():
+    ra = GroupSpec.artin(Graph(2, []))
+    bad = ((1, True),)
+    for call in (lambda: normal_form(bad, ra),
+                 lambda: multiply(generator(2), bad, ra),
+                 lambda: inverse(bad, ra),
+                 lambda: commutator(bad, generator(2), ra),
+                 lambda: commutator(generator(2), bad, ra)):
+        with pytest.raises(ValueError, match="exponent True"):
+            call()
+
+
 def test_multiply_inverse_identity():
     rng = random.Random(1)
     for spec in _specs():
@@ -308,3 +320,90 @@ def test_torus_relation():
     b1 = commutator(generator(4), generator(2), c4)
     assert a1 != () and b1 != ()
     assert commutator(a1, b1, c4) == ()
+
+
+def _inv_letters(w):
+    return tuple((v, -e) for v, e in reversed(w))
+
+
+def _long_spec(kind, rng, m=8):
+    edges = [(a + 1, b + 1) for a in range(m) for b in range(a + 1, m)
+             if rng.random() < 0.4]
+    orders = {"racg": (2,) * m, "raag": (None,) * m,
+              "mixed": tuple(rng.choice((2, 3, 4, None)) for _ in range(m))}
+    return GroupSpec(Graph(m, edges), orders[kind])
+
+
+@pytest.mark.parametrize("kind", ["racg", "raag", "mixed"])
+def test_long_cancelling_word(kind):
+    # w followed by the inverse of a reshuffle of w by legal swaps
+    rng = random.Random(f"cancel:{kind}")
+    spec = _long_spec(kind, rng)
+    half = list(random_word(spec, 10000, rng))
+    shuffled = list(half)
+    for _ in range(4 * len(shuffled)):
+        i = rng.randrange(len(shuffled) - 1)
+        a, b = shuffled[i][0], shuffled[i + 1][0]
+        if a != b and spec.commutes(a, b):
+            shuffled[i], shuffled[i + 1] = shuffled[i + 1], shuffled[i]
+    assert shuffled != half
+    word = tuple(half) + _inv_letters(shuffled)
+    assert len(word) == 20000
+    assert normal_form(word, spec) == ()
+
+
+def test_long_random_word_against_reflection_oracle():
+    rng = random.Random(20000)
+    spec = _long_spec("racg", rng)
+    w = random_word(spec, 20000, rng)
+    nf = normal_form(w, spec)
+    assert 0 < len(nf) < len(w)
+    assert geometric_representation(nf, spec) == \
+        geometric_representation(w, spec)
+
+
+def test_commutator_is_one_normal_form_of_the_spelt_word():
+    rng = random.Random(77)
+    for spec in _specs():
+        for _ in range(50):
+            u = random_word(spec, rng.randint(0, 10), rng)
+            v = random_word(spec, rng.randint(0, 10), rng)
+            assert commutator(u, v, spec) == normal_form(
+                _inv_letters(u) + _inv_letters(v) + u + v, spec)
+
+
+def test_normal_form_properties():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def spec_and_word(draw, max_letters):
+        m = draw(st.integers(1, 5))
+        pairs = [(a, b) for a in range(1, m + 1) for b in range(a + 1, m + 1)]
+        edges = [p for p in pairs if draw(st.booleans())]
+        orders = tuple(draw(st.sampled_from((2, 3, None)))
+                       for _ in range(m))
+        letter = st.tuples(st.integers(1, m), st.integers(-3, 3))
+        word = tuple(draw(st.lists(letter, max_size=max_letters)))
+        return GroupSpec(Graph(m, edges), orders), word
+
+    settings = hypothesis.settings(max_examples=300, deadline=None,
+                                   derandomize=True, database=None)
+
+    @settings
+    @hypothesis.given(spec_and_word(40))
+    def idempotent(case):
+        spec, w = case
+        nf = normal_form(w, spec)
+        assert normal_form(nf, spec) == nf
+
+    @settings
+    @hypothesis.given(spec_and_word(7))
+    def least_shuffle(case):
+        spec, w = case
+        closure = _swap_closure(_merge_reduce(w, spec), spec)
+        assert normal_form(w, spec) == \
+            min(closure, key=lambda x: [l[0] for l in x])
+
+    idempotent()
+    least_shuffle()
