@@ -37,14 +37,18 @@ def parse_document(text):
     column where parsing or validation failed.
     """
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as first:
         try:
-            doc = json.loads(_BARE_KEY.sub(r'\1"\2"\3', text))
-        except json.JSONDecodeError:
-            raise DocumentError(
-                f"not a valid document: {first.msg} at line {first.lineno} "
-                f"column {first.colno}") from None
+            doc = json.loads(text)
+        except json.JSONDecodeError as first:
+            try:
+                doc = json.loads(_BARE_KEY.sub(r'\1"\2"\3', text))
+            except json.JSONDecodeError:
+                raise DocumentError(
+                    f"not a valid document: {first.msg} at line "
+                    f"{first.lineno} column {first.colno}") from None
+    except RecursionError:
+        raise DocumentError("not a valid document: nested too deeply") \
+            from None
     if not isinstance(doc, dict):
         raise DocumentError("document must be a mapping with keys "
                             "'m' and 'maximal_faces'")

@@ -1,11 +1,12 @@
 """Exact integer linear algebra: Smith normal form and homology of chain complexes.
 
 Everything here is arbitrary-precision integer arithmetic; no floating point
-is used anywhere.  Matrices are stored sparsely (dict of rows) because the
-boundary matrices produced elsewhere in this package are large but very
-sparse.  Smith reduction runs in two phases: row-only elimination of +-1
-pivots, sparsest column first, which barely fills them in, then Euclidean
-reduction of the (usually tiny) remainder that holds no unit.
+is used anywhere.  Matrices are stored sparsely (a dict keyed by
+``(row, col)`` holding the nonzero entries) because the boundary matrices
+produced elsewhere in this package are large but very sparse.  Smith
+reduction uses row operations only: +-1 pivots first, sparsest column
+first, which barely fills them in, then Euclidean pivots on the (usually
+tiny) remainder that holds no unit.
 """
 
 import heapq
@@ -215,61 +216,45 @@ def direct_sum(groups):
 # ---------------------------------------------------------------------------
 
 class _Reduction:
-    """Working state for Smith reduction of a sparse matrix, in two phases.
+    """Working state for Smith reduction of a sparse matrix.
 
-    Rows and columns keep their original labels throughout; pivoting removes
-    a label from the active sets instead of permuting.
+    ``row`` maps each row not yet pivoted to its nonzero entries and
+    ``colrows`` maps each column to the rows of ``row`` holding it.  Rows
+    and columns keep their original labels; a pivot row leaves ``row`` and
+    its pivot column is then empty, so every stored entry is still to be
+    reduced.
 
-    1. :meth:`eliminate_units` pivots on entries equal to +-1 with row
-       operations only.  It takes the active column with the fewest
-       nonzeros, picks the shortest row holding a unit in it, clears the
-       column from every other row and drops the pivot row and column with
-       factor 1.  The column operations that would clear the rest of the
-       pivot row change no other row, so they are never performed.  In
-       boundary matrices almost every pivot is a unit (Dumas, Heckenbach,
-       Saunders and Welker, "Computing simplicial homology based on
-       efficient Smith normal form algorithms", 2003).
-    2. Once no active column holds a unit, Euclidean reduction with row and
-       column operations (:meth:`pick_pivot`, :meth:`clear_pivot`) finishes
-       what is left.
+    All the work is done by :meth:`pivot`, with row operations on the
+    matrix and no column operations.  Once the pivot column is clear, a
+    column operation ``col[c2] -= q * col[c]`` changes the pivot row and
+    no other, so it is done in place on that row, and dropping the row
+    stands for the column operations that would clear the rest of it.
+
+    :meth:`run` takes unit pivots first: the column with the fewest
+    nonzeros, and in it the shortest row holding +-1.  In boundary
+    matrices almost every pivot is a unit, and this order barely fills
+    them in (Dumas, Heckenbach, Saunders and Welker, "Computing simplicial
+    homology based on efficient Smith normal form algorithms", 2003).
+    What is left holds no unit; there the entry of least absolute value
+    goes next.
 
     When ``track_left`` is set, every row operation is mirrored on an
     accumulated unimodular transform ``left``.
     """
 
     def __init__(self, mat, track_left=False):
-        self.nrows = mat.rows
-        self.ncols = mat.cols
         self.row = {}
         self.colrows = {}
         for (r, c), v in mat.items():
             self.row.setdefault(r, {})[c] = v
             self.colrows.setdefault(c, set()).add(r)
-        self.active_rows = set(range(self.nrows))
-        self.active_cols = set(range(self.ncols))
-        self.left = ({r: {r: 1} for r in range(self.nrows)}
+        self.left = ({r: {r: 1} for r in range(mat.rows)}
                      if track_left else None)
         self.pivots = []            # (row, col, divisor) in elimination order
 
-    def get(self, r, c):
-        return self.row.get(r, {}).get(c, 0)
-
-    def _set(self, r, c, v):
-        rowmap = self.row.setdefault(r, {})
-        if v:
-            if c not in rowmap:
-                self.colrows.setdefault(c, set()).add(r)
-            rowmap[c] = v
-        elif c in rowmap:
-            del rowmap[c]
-            self.colrows[c].discard(r)
-
     def add_row(self, src, dst, mult):
-        """row[dst] += mult * row[src].
-
-        Active rows never hold entries in inactive (already pivoted)
-        columns, so this cannot disturb finished pivots.
-        """
+        """row[dst] += mult * row[src]; no row of ``row`` holds an entry
+        in a pivoted column, so this cannot disturb finished pivots."""
         drow = self.row[dst]
         colrows = self.colrows
         for c, v in self.row[src].items():
@@ -294,23 +279,69 @@ class _Reduction:
                 else:
                     del ldst[k]
 
-    def add_col(self, src, dst, mult):
-        """col[dst] += mult * col[src]."""
-        for r in list(self.colrows.get(src, ())):
-            self._set(r, dst, self.get(r, dst) + mult * self.row[r][src])
+    def pivot(self, r, c):
+        """Eliminate with pivot (r, c), which may move on the way, and drop
+        the pivot row; returns the dropped row's entries.
 
-    def negate_row(self, r):
-        for c in self.row.get(r, {}):
-            self.row[r][c] = -self.row[r][c]
-        if self.left is not None:
-            for k in self.left[r]:
-                self.left[r][k] = -self.left[r][k]
-
-    def eliminate_units(self):
-        """Phase 1: row-only elimination of unit pivots, sparsest column
-        first (a heap keyed on column length; an entry whose length is
-        stale is skipped, as the column was pushed again when it changed)."""
+        1. Clear column c by Euclidean row operations; a nonzero remainder
+           becomes the pivot.
+        2. Reduce row r modulo the pivot by column operations in place;
+           the least nonzero remainder becomes the pivot, and step 1 runs
+           again.
+        3. Fold a row holding an entry the pivot does not divide into row
+           r, and start again.  Then the pivot divides every entry left,
+           so the factors come out in divisibility order.
+        Steps 2 and 3 have nothing to do for a unit pivot.
+        """
         row, colrows = self.row, self.colrows
+        while True:
+            d = row[r][c]
+            rows = colrows[c]
+            while len(rows) > 1:                            # step 1
+                for r2 in list(rows):
+                    if r2 != r:
+                        v = row[r2][c]
+                        q = v // d
+                        if q:
+                            self.add_row(r, r2, -q)
+                        if v != q * d:
+                            r, d = r2, v - q * d
+                            break
+            if d == 1 or d == -1:
+                break
+            prow = row[r]
+            for c2, v in list(prow.items()):                # step 2
+                if c2 != c:
+                    v %= d
+                    if v:
+                        prow[c2] = v
+                    else:
+                        del prow[c2]
+                        colrows[c2].discard(r)
+            if len(prow) > 1:
+                c = min(prow, key=lambda k: abs(prow[k]))
+                continue
+            bad = next((r2 for r2, entries in row.items()   # step 3
+                        if any(v % d for v in entries.values())), None)
+            if bad is None:
+                break
+            self.add_row(bad, r, 1)
+        dropped = row.pop(r)
+        for c2 in dropped:
+            colrows[c2].discard(r)
+        if d < 0:
+            d = -d
+            if self.left is not None:
+                self.left[r] = {k: -v for k, v in self.left[r].items()}
+        self.pivots.append((r, c, d))
+        return dropped
+
+    def run(self):
+        """Full reduction; afterwards ``pivots`` holds the invariant factors
+        in divisibility order."""
+        row, colrows = self.row, self.colrows
+        # a heap keyed on column length; an entry whose length is stale is
+        # skipped, as the column was pushed again when it changed
         heap = [(len(rows), c) for c, rows in colrows.items()]
         heapq.heapify(heap)
         while heap:
@@ -324,112 +355,16 @@ class _Reduction:
                 if (v == 1 or v == -1) and (p is None
                                             or len(row[r]) < len(row[p])):
                     p = r
-            if p is None:
-                continue
-            if row[p][c] < 0:
-                self.negate_row(p)
-            for r in list(rows):
-                if r != p:
-                    self.add_row(p, r, -row[r][c])
-            for c2 in row.pop(p):
-                colrows[c2].discard(p)
-                if c2 != c:
-                    heapq.heappush(heap, (len(colrows[c2]), c2))
-            self.active_rows.discard(p)
-            self.active_cols.discard(c)
-            self.pivots.append((p, c, 1))
-
-    def active_entries(self):
-        for r in self.active_rows:
-            for c, v in self.row.get(r, {}).items():
-                if c in self.active_cols:
-                    yield r, c, v
-
-    def pick_pivot(self):
-        """An active entry of least absolute value, or None if there is
-        no active entry left."""
-        best = best_val = None
-        for r, c, v in self.active_entries():
-            a = -v if v < 0 else v
-            if best_val is None or a < best_val:
-                best_val = a
-                best = (r, c)
-                if a == 1:
-                    break
-        return best
-
-    def clear_pivot(self, r, c):
-        """Euclidean elimination making (r, c) the only active entry in its
-        row and column; returns the final pivot position."""
+            if p is not None:
+                for c2 in self.pivot(p, c):
+                    if c2 != c:
+                        heapq.heappush(heap, (len(colrows[c2]), c2))
         while True:
-            pivot = self.get(r, c)
-            # clear the column by row operations
-            changed = True
-            while changed:
-                changed = False
-                for r2 in list(self.colrows.get(c, ())):
-                    if r2 == r or r2 not in self.active_rows:
-                        continue
-                    v = self.get(r2, c)
-                    q = v // pivot
-                    if q:
-                        self.add_row(r, r2, -q)
-                    if self.get(r2, c):
-                        # remainder smaller than |pivot|: make it the pivot
-                        r = r2
-                        pivot = self.get(r, c)
-                        changed = True
-                        break
-            # clear the row by column operations
-            col_dirty = False
-            for c2 in list(self.row.get(r, {})):
-                if c2 == c or c2 not in self.active_cols:
-                    continue
-                v = self.get(r, c2)
-                q = v // pivot
-                if q:
-                    self.add_col(c, c2, -q)
-                if self.get(r, c2):
-                    c = c2
-                    col_dirty = True
-                    break
-            if not col_dirty:
-                return r, c
-
-    def _find_nondivisible(self, d):
-        for r in self.active_rows:
-            for c, v in self.row.get(r, {}).items():
-                if c in self.active_cols and v % d:
-                    return r
-        return None
-
-    def run(self):
-        """Full reduction; afterwards ``pivots`` holds the invariant factors
-        in divisibility order."""
-        self.eliminate_units()
-        while True:
-            found = self.pick_pivot()
-            if found is None:
-                break
-            r, c = self.clear_pivot(*found)
-            if self.get(r, c) < 0:
-                self.negate_row(r)
-            d = self.get(r, c)
-            if d != 1:
-                # enforce d | (every remaining entry): fold an offending row
-                # into the pivot row and re-clear, shrinking the pivot
-                while True:
-                    bad = self._find_nondivisible(d)
-                    if bad is None:
-                        break
-                    self.add_row(bad, r, 1)
-                    r, c = self.clear_pivot(r, c)
-                    if self.get(r, c) < 0:
-                        self.negate_row(r)
-                    d = self.get(r, c)
-            self.pivots.append((r, c, d))
-            self.active_rows.discard(r)
-            self.active_cols.discard(c)
+            least = min(((abs(v), r, c) for r, entries in row.items()
+                         for c, v in entries.items()), default=None)
+            if least is None:
+                return
+            self.pivot(least[1], least[2])
 
 
 def smith_normal_form(mat):

@@ -411,7 +411,12 @@ def _simplex_faces(f):
         sign = -sign
 
 
-@lru_cache(maxsize=None)
+# A splitting check at its m <= 10 cap asks for at most 2^10 full
+# subcomplexes, so one check never evicts its own entries.
+_HOMOLOGY_CACHE_SIZE = 1 << 12
+
+
+@lru_cache(maxsize=_HOMOLOGY_CACHE_SIZE)
 def _reduced_homology_key(m, faces):
     # level k holds the faces with k vertices; the empty face spans degree -1
     by_size = {}

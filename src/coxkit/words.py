@@ -267,30 +267,49 @@ class CommutatorExpr:
     def from_nested(cls, nested):
         """Build from the nested-array serialisation, e.g. [2, [4, 1]]
         for (g_2, (g_4, g_1))."""
-        if isinstance(nested, int):
-            return nested
-        if not isinstance(nested, (list, tuple)) or len(nested) != 2:
-            raise ValueError(f"bad commutator serialisation {nested!r}")
-        return cls(cls.from_nested(nested[0]), cls.from_nested(nested[1]))
+        path = []                   # the nested pairs above ``nested``
+        while not isinstance(nested, int):
+            if not isinstance(nested, (list, tuple)) or len(nested) != 2:
+                raise ValueError(f"bad commutator serialisation {nested!r}")
+            path.append(nested)
+            left, right = nested
+            nested = right if isinstance(left, int) else left
+        for left, right in reversed(path):
+            nested = cls(left, nested) if isinstance(left, int) \
+                else cls(nested, right)
+        return nested
+
+    def _fold(self, leaf, node):
+        """``node(left, right)`` from the innermost commutator out, with
+        ``leaf(v)`` for a vertex and the value so far for the inner one.
+        At most one child of each node is internal: the tree is a path."""
+        path, expr = [], self
+        while isinstance(expr, CommutatorExpr):
+            path.append(expr)
+            expr = expr.left if isinstance(expr.left, CommutatorExpr) \
+                else expr.right
+        value = None
+        for expr in reversed(path):
+            value = node(*(leaf(side) if isinstance(side, int) else value
+                           for side in (expr.left, expr.right)))
+        return value
 
     def to_nested(self):
-        def conv(side):
-            return side if isinstance(side, int) else side.to_nested()
-        return [conv(self.left), conv(self.right)]
+        return self._fold(lambda v: v, lambda a, b: [a, b])
 
     def __repr__(self):
-        def show(side):
-            return f"g{side}" if isinstance(side, int) else repr(side)
-        return f"({show(self.left)}, {show(self.right)})"
+        return self._fold(lambda v: f"g{v}", lambda a, b: f"({a}, {b})")
 
 
 def evaluate(expr, spec):
     """Normal form of a commutator expression (a leaf is just g_v)."""
+    def leaf(v):
+        spec.check_vertex(v)
+        return generator(v)         # its own normal form: no order is 1
+
     if isinstance(expr, int):
-        spec.check_vertex(expr)
-        return normal_form(generator(expr), spec)
-    return commutator(evaluate(expr.left, spec),
-                      evaluate(expr.right, spec), spec)
+        return leaf(expr)
+    return expr._fold(leaf, lambda a, b: commutator(a, b, spec))
 
 
 # ---------------------------------------------------------------------------

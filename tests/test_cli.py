@@ -162,6 +162,14 @@ def test_malformed_document_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_deeply_nested_document_exit_2(tmp_path, capsys):
+    deep = "[" * 100_000 + "]" * 100_000
+    for text in (deep, "{m: 2, maximal_faces: " + deep + "}"):
+        code, _, err = run(capsys, "flag", write(tmp_path, text))
+        assert code == 2
+        assert err.startswith("error:") and "nested too deeply" in err
+
+
 def test_cube_commands_reject_large_m(tmp_path, capsys):
     doc = json.dumps({"m": 13, "maximal_faces": []})
     code, _, err = run(capsys, "homology", write(tmp_path, doc))

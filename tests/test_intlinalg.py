@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -94,6 +95,68 @@ def test_left_reduction_transform():
         assert all(i < red.rank for (i, _), _ in (U @ M).items())
         torsion_seen += any(d > 1 for d in red.factors)
     assert torsion_seen >= 20
+
+
+def _bareiss_det(dense):
+    """Exact determinant by fraction-free elimination."""
+    a = [row[:] for row in dense]
+    n, sign, prev = len(a), 1, 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1]
+
+
+def _scrambled_diagonal(rng, r, c):
+    """P D Q for random unimodular P, Q made of elementary operations and a
+    diagonal D whose nonzero entries are a divisibility chain of 1s and
+    torsion, followed by zeros.  Returns the matrix and D's factors."""
+    rank = rng.randint(min(r, c) // 2, min(r, c))
+    ones = rng.randint(0, rank)
+    factors, d = [1] * ones, 1
+    for _ in range(rank - ones):
+        d *= rng.choice([1, 2, 2, 3, 5])
+        factors.append(d)
+    dense = [[0] * c for _ in range(r)]
+    for k, d in enumerate(factors):
+        dense[k][k] = d
+    for _ in range(r + c):
+        k = rng.choice([-1, 1])
+        if rng.random() < 0.5:
+            i, j = rng.sample(range(r), 2)
+            dense[i] = [x + k * y for x, y in zip(dense[i], dense[j])]
+        else:
+            i, j = rng.sample(range(c), 2)
+            for row in dense:
+                row[i] += k * row[j]
+    rng.shuffle(dense)
+    return dense, factors
+
+
+def test_pivot_routine_on_large_scrambled_diagonals():
+    rng = random.Random(40)
+    for _ in range(30):
+        r, c = rng.randint(20, 40), rng.randint(20, 40)
+        dense, factors = _scrambled_diagonal(rng, r, c)
+        M = IntMatrix.from_dense(dense)
+        assert smith_normal_form(M) == factors
+        red = LeftReduction(M)
+        assert red.factors == factors and red.rank == len(factors)
+        U = [[urow.get(k, 0) for k in range(r)] for urow in red._u_rows]
+        assert _bareiss_det(U) in (1, -1)
+        UM = (IntMatrix.from_dense(U) @ M).to_dense()
+        assert not any(any(row) for row in UM[red.rank:])
+        # U M = D V^-1 and a row of a unimodular matrix has content 1
+        for k, d in enumerate(factors):
+            assert math.gcd(*UM[k]) == d
 
 
 def test_left_reduction_cokernel_classes():

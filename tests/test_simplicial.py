@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from coxkit.simplicial import (Graph, SimplicialComplex, clique_complex,
+from coxkit.simplicial import (Graph, SimplicialComplex,
+                               _reduced_homology_key, clique_complex,
                                is_chordal, is_flag, reduced_homology)
 from helpers import (all_graphs, brute_missing_faces, has_chordless_cycle,
                      random_complex, random_graph)
@@ -181,6 +182,26 @@ def test_reduced_homology_basics():
     hs = reduced_homology(empty)
     assert hs[0].betti == 1 and len(hs) == 1
     assert all(h.is_trivial() for h in reduced_homology(SimplicialComplex.simplex(4)))
+
+
+def test_reduced_homology_cache_is_bounded():
+    maxsize = _reduced_homology_key.cache_info().maxsize
+    assert isinstance(maxsize, int) and maxsize >= 1 << 10
+    # the key is (m, faces): distinct m give distinct entries cheaply
+    faces = SimplicialComplex.points(1).faces
+    _reduced_homology_key.cache_clear()
+    try:
+        for m in range(1, (1 << 10) + 1):
+            _reduced_homology_key(m, faces)
+        misses = _reduced_homology_key.cache_info().misses
+        for m in range(1, (1 << 10) + 1):   # 2^10 subsets: nothing evicted
+            _reduced_homology_key(m, faces)
+        assert _reduced_homology_key.cache_info().misses == misses
+        for m in range(1, maxsize + 50):
+            _reduced_homology_key(m, faces)
+            assert _reduced_homology_key.cache_info().currsize <= maxsize
+    finally:
+        _reduced_homology_key.cache_clear()
 
 
 def test_reduced_homology_sphere_and_torsion():

@@ -151,6 +151,69 @@ def test_commutator_expr():
         CommutatorExpr.from_nested([1, 2, 3])
 
 
+def _nested_path(depth, rng, m=3):
+    nested = rng.randint(1, m)
+    for _ in range(depth):
+        v = rng.randint(1, m)
+        nested = [v, nested] if rng.random() < 0.5 else [nested, v]
+    return nested
+
+
+def _spine(nested):
+    """A nested path as a flat list, read without recursion (comparing
+    deep lists with == recurses once per level)."""
+    out = []
+    while not isinstance(nested, int):
+        left, right = nested
+        if isinstance(left, int):
+            out.append(("L", left))
+            nested = right
+        else:
+            out.append(("R", right))
+            nested = left
+    return out + [nested]
+
+
+def test_commutator_expr_matches_recursive_evaluation():
+    def reference(nested):
+        if isinstance(nested, int):
+            return generator(nested)
+        return commutator(reference(nested[0]), reference(nested[1]), FREE3)
+
+    rng = random.Random(3)
+    assert evaluate(2, FREE3) == generator(2)
+    assert repr(CommutatorExpr.from_nested([2, [3, 1]])) == "(g2, (g3, g1))"
+    for depth in range(1, 7):
+        for _ in range(6):
+            nested = _nested_path(depth, rng)
+            expr = CommutatorExpr.from_nested(nested)
+            assert expr.to_nested() == nested
+            assert evaluate(expr, FREE3) == reference(nested)
+
+
+def test_commutator_expr_3000_deep():
+    abelian = GroupSpec.coxeter(Graph(3, [(1, 2), (1, 3), (2, 3)]))
+    nested = _nested_path(3000, random.Random(4))
+    expr = CommutatorExpr.from_nested(nested)
+    assert _spine(expr.to_nested()) == _spine(nested)
+    text = repr(expr)
+    assert text.count("g") == 3001 and text.count("(") == 3000
+    assert evaluate(expr, abelian) == ()
+    assert evaluate(expr, GroupSpec.artin(abelian.graph)) == ()
+    bad = [1, 2, 3]
+    for _ in range(3000):
+        bad = [bad, 2]
+    with pytest.raises(ValueError):
+        CommutatorExpr.from_nested(bad)
+    with pytest.raises(ValueError):
+        evaluate(CommutatorExpr.from_nested([[1, 9], 2]), abelian)
+    deep_bad_vertex = 9
+    for _ in range(3000):
+        deep_bad_vertex = [1, deep_bad_vertex]
+    with pytest.raises(ValueError):
+        evaluate(CommutatorExpr.from_nested(deep_bad_vertex), abelian)
+
+
 def test_hall_and_swap_identities():
     rng = random.Random(9)
     specs = _specs()
