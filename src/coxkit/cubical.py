@@ -228,18 +228,16 @@ class _LoopSystem:
                 self.nontree_index[axis, signs] = len(self.nontree)
                 self.nontree.append((axis, signs))
         self.rank_cycles = len(self.nontree)    # = E - V + 1
-        # relator matrix: 2-cell boundaries restricted to non-tree rows
+        # relator matrix: the squares' boundaries on the non-tree edges
         two_cells = R.cells[2] if len(R.cells) > 2 else []
-        entries = {}
-        if two_cells:
-            d2 = R.boundaries[2]
-            edge_list = R.cells[1]
-            for (r, c), v in d2.items():
-                key = (edge_list[r][0].bit_length() - 1, edge_list[r][1])
-                idx = self.nontree_index.get(key)
+        rows = {}
+        for c, cell in enumerate(two_cells):
+            for (free, signs), sign in _cube_faces(cell):
+                idx = self.nontree_index.get((free.bit_length() - 1, signs))
                 if idx is not None:
-                    entries[idx, c] = v
-        self.relators = IntMatrix(self.rank_cycles, len(two_cells), entries)
+                    rows.setdefault(idx, {})[c] = sign
+        self.relators = IntMatrix._from_rows(self.rank_cycles,
+                                             len(two_cells), rows)
         self.reduction = LeftReduction(self.relators)
         if any(d > 1 for d in self.reduction.factors):
             raise AssertionError(
@@ -249,10 +247,8 @@ class _LoopSystem:
     def class_of_cycle(self, vec):
         """First-homology coordinates of a cycle given by its sparse
         non-tree-edge traversal counts."""
-        torsion, free = self.reduction.cokernel_class(vec)
-        if any(torsion):
-            raise ValueError("vector is not a cycle class representative")
-        return free
+        # every factor is 1 (checked in __init__), so no torsion part is left
+        return self.reduction.cokernel_class(vec)[1]
 
 
 @dataclass

@@ -1,10 +1,10 @@
 """Exact integer linear algebra: Smith normal form and homology of chain complexes.
 
 Everything here is arbitrary-precision integer arithmetic; no floating point
-is used anywhere.  Matrices are stored sparsely (a dict keyed by
-``(row, col)`` holding the nonzero entries) because the boundary matrices
-produced elsewhere in this package are large but very sparse.  Smith
-reduction uses row operations only: +-1 pivots first, sparsest column
+is used anywhere.  A matrix is stored as rows, ``{row: {col: value}}`` with
+nonzero entries only, and is built, multiplied and reduced in that format:
+the boundary matrices made in this package are large but very sparse.
+Smith reduction uses row operations only: +-1 pivots first, sparsest column
 first, which barely fills them in, then Euclidean pivots on the (usually
 tiny) remainder that holds no unit.
 """
@@ -13,12 +13,17 @@ import heapq
 from dataclasses import dataclass
 
 
+def _check_int(v, what):
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ValueError(f"{what} is {type(v).__name__}, not an exact integer")
+
+
 class IntMatrix:
     """An exact integer matrix.
 
     Entries are arbitrary-precision Python ints.  Internally only nonzero
-    entries are stored, but the matrix behaves like a dense ``rows x cols``
-    array of integers.
+    entries are stored, row by row, with no empty rows, but the matrix
+    behaves like a dense ``rows x cols`` array of integers.
 
     >>> M = IntMatrix.from_dense([[2, 0], [0, 3]])
     >>> M.entry(1, 1)
@@ -27,37 +32,41 @@ class IntMatrix:
     [1, 6]
     """
 
-    __slots__ = ("rows", "cols", "_data")
+    __slots__ = ("rows", "cols", "_row")
 
     def __init__(self, rows, cols, entries=()):
+        _check_int(rows, "row count")
+        _check_int(cols, "column count")
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be non-negative")
-        self.rows = rows
-        self.cols = cols
         data = {}
         items = entries.items() if isinstance(entries, dict) else entries
         for (r, c), v in items:
             if not (0 <= r < rows and 0 <= c < cols):
                 raise ValueError(f"entry ({r},{c}) outside {rows}x{cols} matrix")
-            if not isinstance(v, int):
-                raise ValueError(f"entry ({r},{c}) is {type(v).__name__}, "
-                                 "not an exact integer")
+            if type(v) is not int:
+                _check_int(v, f"entry ({r},{c})")
             if v:
-                data[r, c] = v
-        self._data = data
+                data.setdefault(r, {})[c] = v
+        self.rows, self.cols, self._row = rows, cols, data
+
+    @classmethod
+    def _from_rows(cls, rows, cols, data):
+        """Adopt ``data``, nonempty rows of nonzero ints, unchecked."""
+        mat = cls.__new__(cls)
+        mat.rows, mat.cols, mat._row = rows, cols, data
+        return mat
 
     @classmethod
     def from_dense(cls, dense_rows):
         rows = len(dense_rows)
         cols = len(dense_rows[0]) if rows else 0
-        entries = {}
-        for r, row in enumerate(dense_rows):
-            if len(row) != cols:
-                raise ValueError("ragged rows in dense matrix")
-            for c, v in enumerate(row):
-                if v:
-                    entries[r, c] = v
-        return cls(rows, cols, entries)
+        if any(len(row) != cols for row in dense_rows):
+            raise ValueError("ragged rows in dense matrix")
+        # an int zero needs no storage; anything else goes to the check
+        return cls(rows, cols, (((r, c), v) for r, row in enumerate(dense_rows)
+                                for c, v in enumerate(row)
+                                if v or type(v) is not int))
 
     @classmethod
     def zero(cls, rows, cols):
@@ -65,59 +74,54 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n):
-        return cls(n, n, {(i, i): 1 for i in range(n)})
+        return cls(n, n, (((i, i), 1) for i in range(n)))
 
     def entry(self, r, c):
         if not (0 <= r < self.rows and 0 <= c < self.cols):
             raise IndexError((r, c))
-        return self._data.get((r, c), 0)
+        return self._row.get(r, {}).get(c, 0)
 
     def to_dense(self):
-        dense = [[0] * self.cols for _ in range(self.rows)]
-        for (r, c), v in self._data.items():
-            dense[r][c] = v
-        return dense
+        return [[self._row.get(r, {}).get(c, 0) for c in range(self.cols)]
+                for r in range(self.rows)]
 
     def items(self):
         """Iterate over ``((row, col), value)`` for the nonzero entries."""
-        return self._data.items()
+        return (((r, c), v) for r, row in self._row.items()
+                for c, v in row.items())
 
     def nnz(self):
-        return len(self._data)
+        return sum(map(len, self._row.values()))
 
     def is_zero(self):
-        return not self._data
+        return not self._row
 
     def transpose(self):
         return IntMatrix(self.cols, self.rows,
-                         {(c, r): v for (r, c), v in self._data.items()})
+                         (((c, r), v) for (r, c), v in self.items()))
 
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ "
                              f"{other.rows}x{other.cols}")
-        rows_self = {}
-        for (r, c), v in self._data.items():
-            rows_self.setdefault(r, []).append((c, v))
-        rows_other = {}
-        for (r, c), v in other._data.items():
-            rows_other.setdefault(r, []).append((c, v))
+        other_row = other._row
         out = {}
-        for r, items in rows_self.items():
+        for r, row in self._row.items():
             acc = {}
-            for k, v in items:
-                for c, w in rows_other.get(k, ()):
-                    acc[c] = acc.get(c, 0) + v * w
-            for c, v in acc.items():
-                if v:
-                    out[r, c] = v
-        return IntMatrix(self.rows, other.cols, out)
+            for k, v in row.items():
+                orow = other_row.get(k)
+                if orow:
+                    for c, w in orow.items():
+                        acc[c] = acc.get(c, 0) + v * w
+            if any(acc.values()):
+                out[r] = {c: v for c, v in acc.items() if v}
+        return IntMatrix._from_rows(self.rows, other.cols, out)
 
     def __eq__(self, other):
         if not isinstance(other, IntMatrix):
             return NotImplemented
-        return (self.rows, self.cols, self._data) == \
-            (other.rows, other.cols, other._data)
+        return (self.rows, self.cols, self._row) == \
+            (other.rows, other.cols, other._row)
 
     def __repr__(self):
         return f"IntMatrix({self.rows}x{self.cols}, nnz={self.nnz()})"
@@ -218,11 +222,12 @@ def direct_sum(groups):
 class _Reduction:
     """Working state for Smith reduction of a sparse matrix.
 
-    ``row`` maps each row not yet pivoted to its nonzero entries and
-    ``colrows`` maps each column to the rows of ``row`` holding it.  Rows
-    and columns keep their original labels; a pivot row leaves ``row`` and
-    its pivot column is then empty, so every stored entry is still to be
-    reduced.
+    ``row`` maps each row not yet pivoted to its nonzero entries, copied
+    from the matrix's rows (a boundary matrix is cached and must not
+    change), and ``colrows`` maps each column to the rows of ``row``
+    holding it.  Rows and columns keep their original labels; a pivot row
+    leaves ``row`` and its pivot column is then empty, so every stored
+    entry is still to be reduced.
 
     All the work is done by :meth:`pivot`, with row operations on the
     matrix and no column operations.  Once the pivot column is clear, a
@@ -243,11 +248,13 @@ class _Reduction:
     """
 
     def __init__(self, mat, track_left=False):
-        self.row = {}
-        self.colrows = {}
-        for (r, c), v in mat.items():
-            self.row.setdefault(r, {})[c] = v
-            self.colrows.setdefault(c, set()).add(r)
+        self.row = {r: dict(entries) for r, entries in mat._row.items()}
+        self.colrows = colrows = {}
+        # a column's rows go in from the highest down, the order in which
+        # the builders list a cell's faces; run() breaks ties in set order
+        for r in sorted(self.row, reverse=True):
+            for c in self.row[r]:
+                colrows.setdefault(c, set()).add(r)
         self.left = ({r: {r: 1} for r in range(mat.rows)}
                      if track_left else None)
         self.pivots = []            # (row, col, divisor) in elimination order
@@ -402,26 +409,19 @@ class LeftReduction:
         self.factors = [d for (_, _, d) in red.pivots]
         self.rank = len(self.factors)
         order = [r for (r, _, _) in red.pivots]
-        seen = set(order)
-        order.extend(r for r in range(mat.rows) if r not in seen)
+        order += sorted(set(range(mat.rows)).difference(order))
         self._u_rows = [red.left[r] for r in order]
+        self._u_cols = {}           # column k of U as [(row, value), ...]
+        for i, urow in enumerate(self._u_rows):
+            for k, w in urow.items():
+                self._u_cols.setdefault(k, []).append((i, w))
 
     def apply(self, vec):
         """U @ vec for a sparse vector given as {index: value}."""
-        out = []
-        for urow in self._u_rows:
-            s = 0
-            if len(vec) < len(urow):
-                for k, v in vec.items():
-                    w = urow.get(k)
-                    if w:
-                        s += w * v
-            else:
-                for k, w in urow.items():
-                    v = vec.get(k)
-                    if v:
-                        s += w * v
-            out.append(s)
+        out = [0] * len(self._u_rows)
+        for k, v in vec.items():
+            for i, w in self._u_cols.get(k, ()):
+                out[i] += w * v
         return out
 
     def cokernel_class(self, vec):
@@ -443,16 +443,17 @@ class ChainComplexError(ValueError):
 def boundary_maps(levels, faces):
     """Boundary matrices for :func:`chain_homology` of the complex with
     degree-k cells ``levels[k]``, where ``faces(cell)`` yields the (face,
-    sign) pairs of a cell's boundary, distinct cells of the level below."""
-    boundaries = [IntMatrix.zero(0, len(levels[0]))]
+    sign) pairs of a cell's boundary: distinct cells of the level below,
+    each with a nonzero integer sign.  The rows are filled directly."""
+    boundaries = [IntMatrix._from_rows(0, len(levels[0]), {})]
     for k in range(1, len(levels)):
         below = {cell: i for i, cell in enumerate(levels[k - 1])}
-        entries = {}
+        rows = {}
         for col, cell in enumerate(levels[k]):
             for face, sign in faces(cell):
-                entries[below[face], col] = sign
-        boundaries.append(
-            IntMatrix(len(levels[k - 1]), len(levels[k]), entries))
+                rows.setdefault(below[face], {})[col] = sign
+        boundaries.append(IntMatrix._from_rows(
+            len(levels[k - 1]), len(levels[k]), rows))
     return boundaries
 
 
@@ -469,6 +470,9 @@ def chain_homology(boundaries):
     caller's complex builder.
     """
     n = len(boundaries)
+    if n and boundaries[0].rows:
+        raise ChainComplexError(f"boundary 0 has {boundaries[0].rows} rows "
+                                "but degree -1 is the zero module")
     for k in range(1, n):
         if boundaries[k].rows != boundaries[k - 1].cols:
             raise ChainComplexError(

@@ -183,6 +183,27 @@ def test_pi1_relators_match_two_cell_boundaries():
                 assert counts.get(row, 0) == loops.relators.entry(row, col)
 
 
+def test_loop_system_builds_relators_without_boundaries():
+    relator_nnz = []
+    for K in (SimplicialComplex.cycle(5), SimplicialComplex.points(4),
+              random_complex(6, random.Random(6))):
+        R = build(K)
+        loops = R.loop_system()
+        assert R._boundaries is None
+        edges = R.cells[1]
+        d2 = (R.boundaries[2] if len(R.boundaries) > 2
+              else IntMatrix.zero(len(edges), 0))
+        want = {}
+        for (r, c), v in d2.items():
+            free, signs = edges[r]
+            idx = loops.nontree_index.get((free.bit_length() - 1, signs))
+            if idx is not None:
+                want[idx, c] = v
+        assert loops.relators == IntMatrix(loops.rank_cycles, d2.cols, want)
+        relator_nnz.append(loops.relators.nnz())
+    assert relator_nnz[0] > 0 and relator_nnz[1] == 0 and relator_nnz[2] > 0
+
+
 def test_word_loops_on_torus():
     R = build(C4)
     spec = coxeter_spec(C4)

@@ -4,8 +4,8 @@ import random
 import pytest
 
 from coxkit.intlinalg import (ChainComplexError, HomologyGroup, IntMatrix,
-                              LeftReduction, chain_homology, direct_sum,
-                              smith_normal_form)
+                              LeftReduction, boundary_maps, chain_homology,
+                              direct_sum, smith_normal_form)
 from helpers import minor_gcd_invariant_factors
 
 
@@ -201,6 +201,99 @@ def test_intmatrix_validation():
         IntMatrix.zero(2, 3) @ IntMatrix.zero(2, 3)
 
 
+def test_intmatrix_rejects_booleans():
+    for make in (lambda: IntMatrix(1, 1, {(0, 0): True}),
+                 lambda: IntMatrix(2, 2, [((1, 0), False)]),
+                 lambda: IntMatrix.from_dense([[1, False]]),
+                 lambda: IntMatrix(True, 2),
+                 lambda: IntMatrix(2, False),
+                 lambda: IntMatrix.zero(True, 1),
+                 lambda: IntMatrix.identity(True)):
+        with pytest.raises(ValueError):
+            make()
+
+
+def _random_dense(rng, r, c, density=0.5):
+    return [[rng.randint(-4, 4) if rng.random() < density else 0
+             for _ in range(c)] for _ in range(r)]
+
+
+def _dense_product(a, b, c):
+    return [[sum(x * b[k][j] for k, x in enumerate(row)) for j in range(c)]
+            for row in a]
+
+
+def _matrix(dense, c):
+    """The validating constructor, fed every entry, zeros included."""
+    return IntMatrix(len(dense), c, {(i, j): v for i, row in enumerate(dense)
+                                     for j, v in enumerate(row)})
+
+
+def test_row_format_agrees_with_dense_reference():
+    rng = random.Random(61)
+    for _ in range(200):
+        r, k, c = (rng.randint(0, 6) for _ in range(3))
+        a = _random_dense(rng, r, k)
+        b = _random_dense(rng, k, c)
+        A = _matrix(a, k)
+        if r and k:
+            assert A == IntMatrix.from_dense(a)
+        assert A.to_dense() == a
+        assert sorted(A.items()) == [((i, j), a[i][j]) for i in range(r)
+                                     for j in range(k) if a[i][j]]
+        assert A.nnz() == sum(v != 0 for row in a for v in row)
+        assert A.is_zero() == (A.nnz() == 0)
+        assert A.transpose().to_dense() == \
+            [[a[i][j] for i in range(r)] for j in range(k)]
+        assert A.transpose().transpose() == A
+        ab = _dense_product(a, b, c)
+        assert (A @ _matrix(b, c)).to_dense() == ab
+        assert A @ _matrix(b, c) == _matrix(ab, c)
+
+
+def test_cancelling_products_are_zero():
+    rng = random.Random(62)
+    for _ in range(100):
+        r, k, c = (rng.randint(1, 6) for _ in range(3))
+        x = _random_dense(rng, r, k, 0.7)
+        y = _random_dense(rng, k, c, 0.7)
+        # [x | x] @ [y ; -y] = xy - xy, and every nonzero term cancels
+        left = IntMatrix.from_dense([row + row for row in x])
+        right = IntMatrix.from_dense(y + [[-v for v in row] for row in y])
+        product = left @ right
+        assert product.is_zero() and product.nnz() == 0
+        assert product == IntMatrix.zero(r, c)
+        assert list(product.items()) == []
+        # rows that cancel leave no trace beside rows that do not
+        keep = rng.randrange(r)
+        x2 = [row + (row if i != keep else [0] * k)
+              for i, row in enumerate(x)]
+        mixed = IntMatrix.from_dense(x2) @ right
+        xy = _dense_product(x, y, c)
+        want = [row if i == keep else [0] * c for i, row in enumerate(xy)]
+        assert mixed == IntMatrix.from_dense(want)
+
+
+def test_reduction_leaves_its_input_unchanged():
+    rng = random.Random(63)
+    for _ in range(200):
+        r, c = rng.randint(1, 8), rng.randint(1, 8)
+        dense = [[rng.choice([0, 0, 1, -1, 2, 3]) * rng.choice([1, 2])
+                  for _ in range(c)] for _ in range(r)]
+        M = _matrix(dense, c)
+        copy = IntMatrix.from_dense(dense)
+        smith_normal_form(M)
+        assert M == copy
+        LeftReduction(M)
+        assert M == copy and M.to_dense() == dense
+    # boundary matrices are filled as rows and reduced without change
+    levels = [[(0,), (1,), (2,)], [(0, 1), (0, 2), (1, 2)]]
+    ds = boundary_maps(levels, lambda e: [((e[1],), 1), ((e[0],), -1)])
+    copies = [_matrix(d.to_dense(), d.cols) for d in ds]
+    assert chain_homology(ds) == [HomologyGroup(1), HomologyGroup(1)]
+    assert ds == copies and ds[1].nnz() == 6
+
+
 def test_homology_group_validation():
     with pytest.raises(ValueError):
         HomologyGroup(-1)
@@ -248,6 +341,14 @@ def test_chain_homology_rejects_bad_complexes():
                 IntMatrix.from_dense([[1]])]
     with pytest.raises(ChainComplexError):
         chain_homology(not_zero)
+
+
+def test_chain_homology_rejects_nonzero_degree_minus_one():
+    # boundaries[0] maps into the zero module, so it must have 0 rows
+    with pytest.raises(ChainComplexError):
+        chain_homology([IntMatrix.from_dense([[1]])])
+    with pytest.raises(ChainComplexError):
+        chain_homology([IntMatrix.zero(1, 2), IntMatrix.zero(2, 1)])
 
 
 def test_chain_homology_torsion():
