@@ -6,7 +6,8 @@ nonzero entries only, and is built, multiplied and reduced in that format:
 the boundary matrices made in this package are large but very sparse.
 Smith reduction uses row operations only: +-1 pivots first, sparsest column
 first, which barely fills them in, then Euclidean pivots on the (usually
-tiny) remainder that holds no unit.
+tiny) remainder that holds no unit.  Homology clears from each boundary
+the rows that unit pivots of the one below settled (:func:`chain_homology`).
 """
 
 import heapq
@@ -235,13 +236,13 @@ class _Reduction:
     no other, so it is done in place on that row, and dropping the row
     stands for the column operations that would clear the rest of it.
 
-    :meth:`run` takes unit pivots first: the column with the fewest
-    nonzeros, and in it the shortest row holding +-1.  In boundary
-    matrices almost every pivot is a unit, and this order barely fills
-    them in (Dumas, Heckenbach, Saunders and Welker, "Computing simplicial
-    homology based on efficient Smith normal form algorithms", 2003).
-    What is left holds no unit; there the entry of least absolute value
-    goes next.
+    :meth:`run` first takes ``units`` unit pivots: the column with the
+    fewest nonzeros, and in it the shortest row holding +-1, the lowest
+    index on a tie, whatever the entry order.  In boundary matrices almost
+    every pivot is a unit, and this order barely fills them in (Dumas,
+    Heckenbach, Saunders and Welker, "Computing simplicial homology based
+    on efficient Smith normal form algorithms", 2003).  What is left holds
+    no unit; there the entry of least absolute value goes next.
 
     When ``track_left`` is set, every row operation is mirrored on an
     accumulated unimodular transform ``left``.
@@ -250,10 +251,8 @@ class _Reduction:
     def __init__(self, mat, track_left=False):
         self.row = {r: dict(entries) for r, entries in mat._row.items()}
         self.colrows = colrows = {}
-        # a column's rows go in from the highest down, the order in which
-        # the builders list a cell's faces; run() breaks ties in set order
-        for r in sorted(self.row, reverse=True):
-            for c in self.row[r]:
+        for r, entries in self.row.items():
+            for c in entries:
                 colrows.setdefault(c, set()).add(r)
         self.left = ({r: {r: 1} for r in range(mat.rows)}
                      if track_left else None)
@@ -360,12 +359,13 @@ class _Reduction:
             for r in rows:
                 v = row[r][c]
                 if (v == 1 or v == -1) and (p is None
-                                            or len(row[r]) < len(row[p])):
-                    p = r
+                                            or (len(row[r]), r) < best):
+                    p, best = r, (len(row[r]), r)
             if p is not None:
                 for c2 in self.pivot(p, c):
                     if c2 != c:
                         heapq.heappush(heap, (len(colrows[c2]), c2))
+        self.units = len(self.pivots)
         while True:
             least = min(((abs(v), r, c) for r, entries in row.items()
                          for c, v in entries.items()), default=None)
@@ -374,11 +374,12 @@ class _Reduction:
             self.pivot(least[1], least[2])
 
 
-def smith_normal_form(mat):
+def smith_normal_form(mat, *, _units=None):
     """Invariant factors d1 | d2 | ... | dr of an integer matrix.
 
     The length of the result is the rank of ``mat`` over the rationals; the
-    zero (and empty) matrix gives ``[]``.
+    zero (and empty) matrix gives ``[]``.  A set passed as ``_units``
+    receives the columns of the unit-phase pivots.
 
     >>> smith_normal_form(IntMatrix.from_dense([[2, 0], [0, 3]]))
     [1, 6]
@@ -387,6 +388,8 @@ def smith_normal_form(mat):
     """
     red = _Reduction(mat)
     red.run()
+    if _units is not None:
+        _units.update(c for (_, c, _) in red.pivots[:red.units])
     return [d for (_, _, d) in red.pivots]
 
 
@@ -468,6 +471,13 @@ def chain_homology(boundaries):
     Raises :class:`ChainComplexError` if consecutive maps fail to compose
     to zero or dimensions are inconsistent; either signals a bug in the
     caller's complex builder.
+
+    d_{k+1} is reduced without the rows of d_k's unit-phase pivot columns
+    (clearing: Chen and Kerber, "Persistent homology computation with a
+    twist", 2011; Bauer, "Ripser", 2021).  A unit pivot (r, c) makes row r
+    a combination of d_k's rows, +-1 at c and 0 at earlier pivots, so row c
+    of d_{k+1} is a combination of kept rows and rows of later pivots, as
+    d_k d_{k+1} = 0.  Euclidean pivots need not be +-1 and follow column ops.
     """
     n = len(boundaries)
     if n and boundaries[0].rows:
@@ -481,7 +491,12 @@ def chain_homology(boundaries):
         if not (boundaries[k - 1] @ boundaries[k]).is_zero():
             raise ChainComplexError(f"boundary maps {k - 1} and {k} do not "
                                     "compose to zero")
-    factors = [smith_normal_form(b) for b in boundaries]
+    factors, cleared = [], set()
+    for b in boundaries:
+        kept = {r: e for r, e in b._row.items() if r not in cleared}
+        cleared = set()
+        factors.append(smith_normal_form(
+            IntMatrix._from_rows(b.rows, b.cols, kept), _units=cleared))
     factors.append([])  # zero map above the top degree
     groups = []
     for k in range(n):

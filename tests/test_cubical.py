@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from coxkit import intlinalg
 from coxkit.commutators import coxeter_spec, generator_count
 from coxkit.cubical import (CubeComplex, basis_certificate, build,
                             euler_characteristic,
@@ -9,7 +10,7 @@ from coxkit.cubical import (CubeComplex, basis_certificate, build,
                             homology_splitting_check, loop_class,
                             wedge_of_circles_signature, word_class,
                             word_to_loop)
-from coxkit.intlinalg import IntMatrix, smith_normal_form
+from coxkit.intlinalg import IntMatrix, chain_homology, smith_normal_form
 from coxkit.simplicial import SimplicialComplex, clique_complex
 from coxkit.words import GroupSpec, commutator, generator
 from helpers import all_complexes, random_complex, random_graph
@@ -264,3 +265,28 @@ def test_wedge_signature():
         else:
             non_seen += 1
             assert not wedge_of_circles_signature(K)
+
+
+def test_chain_homology_clears_rows_of_unit_pivot_columns(monkeypatch):
+    ds = CubeComplex(random_complex(6, random.Random(6))).boundaries
+    calls = []
+
+    def recording(mat, **kwargs):
+        factors = smith_normal_form(mat, **kwargs)
+        calls.append((mat, factors, set(kwargs["_units"])))
+        return factors
+
+    monkeypatch.setattr(intlinalg, "smith_normal_form", recording)
+    chain_homology(ds)
+    assert len(calls) == len(ds)
+    cleared = set()
+    for d, (mat, factors, units) in zip(ds, calls):
+        assert (mat.rows, mat.cols) == (d.rows, d.cols)
+        kept = set(d._row) - cleared
+        assert set(mat._row) == kept
+        assert all(mat._row[r] == d._row[r] for r in kept)
+        assert factors == smith_normal_form(d)
+        # every pivot on this input is a unit, and each clears a row above
+        assert len(units) == len(factors)
+        cleared = units
+    assert sum(d.nnz() for d in ds) > sum(mat.nnz() for mat, _, _ in calls)

@@ -4,8 +4,8 @@ import random
 import pytest
 
 from coxkit.intlinalg import (ChainComplexError, HomologyGroup, IntMatrix,
-                              LeftReduction, boundary_maps, chain_homology,
-                              direct_sum, smith_normal_form)
+                              LeftReduction, _Reduction, boundary_maps,
+                              chain_homology, direct_sum, smith_normal_form)
 from helpers import minor_gcd_invariant_factors
 
 
@@ -356,3 +356,96 @@ def test_chain_homology_torsion():
     hs = chain_homology([IntMatrix.zero(0, 1), IntMatrix.from_dense([[2]])])
     assert hs[0] == HomologyGroup(0, (2,))
     assert hs[1] == HomologyGroup(0)
+
+
+def test_unit_pivot_ties_ignore_entry_order():
+    # rows 0 and 8 share a hash slot in a small set, so the order they go
+    # into column 0's row set is the order they are met in; both hold +-1
+    # and are equally short
+    tie = IntMatrix(9, 2, [((0, 0), 1), ((8, 0), -1), ((8, 1), 1),
+                           ((0, 1), 1), ((4, 1), 1)])
+    mats = [tie]
+    levels = [[(v,) for v in range(9)],
+              [(u, v) for u in range(9) for v in range(u + 1, 9)
+               if (u * v + u + v) % 3]]
+    mats.append(boundary_maps(levels, lambda e: [((e[1],), 1),
+                                                 ((e[0],), -1)])[1])
+    for M in mats:
+        for A in (M, M.transpose()):
+            red = _Reduction(A)
+            red.run()
+            assert red.units == len(red.pivots)
+            B = IntMatrix(A.rows, A.cols, list(A.items())[::-1])
+            assert A == B and list(A.items()) != list(B.items())
+            assert LeftReduction(A)._u_rows == LeftReduction(B)._u_rows
+
+
+def _unimodular_pair(rng, n):
+    """A random unimodular P and its inverse Q, as dense rows: products of
+    elementary operations with multipliers +-1, +-2, then a permutation."""
+    P = [[int(i == j) for j in range(n)] for i in range(n)]
+    Q = [row[:] for row in P]
+    for _ in range(3 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        a = rng.choice([-2, -1, 1, 2])
+        for row in P:                       # P <- P (I + a e_ij)
+            row[j] += a * row[i]
+        Q[i] = [x - a * y for x, y in zip(Q[i], Q[j])]  # Q <- (I - a e_ij) Q
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return [[row[p] for p in perm] for row in P], [Q[p] for p in perm]
+
+
+def _prescribed_complex(rng, top):
+    """Boundaries d_k = P_{k-1} E_k P_k^-1 and the homology read off E.
+
+    C_k has a basis of a_k targets, h_k cycles and s_k sources, in that
+    order; E_k sends the i-th source to f_{k,i} times the i-th target of
+    C_{k-1}, so E_{k-1} E_k = 0.  Each f_k is a divisibility chain, holding
+    no 1 at all in some degrees."""
+    sources = [0] + [rng.randint(0, 4) for _ in range(top)]
+    targets = sources[1:] + [0]
+    cycles = [rng.randint(0, 2) for _ in range(top + 1)]
+    dims = [a + h + s for a, h, s in zip(targets, cycles, sources)]
+    factors = [[]]
+    for k in range(1, top + 1):
+        chain, d = [], rng.choice([1, 1, 2, 3])
+        for _ in range(sources[k]):
+            d *= rng.choice([1, 1, 2, 3])
+            chain.append(d)
+        factors.append(chain)
+    pairs = [_unimodular_pair(rng, n) for n in dims]
+    for (P, Q), n in zip(pairs, dims):
+        assert IntMatrix.from_dense(P) @ IntMatrix.from_dense(Q) == \
+            IntMatrix.identity(n)
+    boundaries = [IntMatrix.zero(0, dims[0])]
+    for k in range(1, top + 1):
+        first = targets[k] + cycles[k]
+        E = IntMatrix(dims[k - 1], dims[k], {
+            (i, first + i): f for i, f in enumerate(factors[k])})
+        P = IntMatrix(dims[k - 1], dims[k - 1],
+                      {(i, j): v for i, row in enumerate(pairs[k - 1][0])
+                       for j, v in enumerate(row)})
+        Q = IntMatrix(dims[k], dims[k],
+                      {(i, j): v for i, row in enumerate(pairs[k][1])
+                       for j, v in enumerate(row)})
+        boundaries.append(P @ E @ Q)
+    factors.append([])
+    want = [HomologyGroup(cycles[k], tuple(f for f in factors[k + 1] if f > 1))
+            for k in range(top + 1)]
+    return boundaries, want
+
+
+def test_chain_homology_prescribed_torsion():
+    rng = random.Random(64)
+    euclidean_then_more = 0
+    for _ in range(150):
+        ds, want = _prescribed_complex(rng, rng.randint(2, 5))
+        assert chain_homology(ds) == want
+        for k in range(1, len(ds) - 1):
+            red = _Reduction(ds[k])
+            red.run()
+            if red.units < len(red.pivots) and not ds[k + 1].is_zero():
+                euclidean_then_more += 1
+    # the Euclidean phase runs, and clearing must then leave its rows alone
+    assert euclidean_then_more >= 30
