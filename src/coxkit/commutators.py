@@ -17,11 +17,10 @@ commutator subgroup form a basis (see :func:`coxkit.cubical
 .basis_certificate` for the machine check).
 """
 
-from collections import deque
 from dataclasses import dataclass
 from math import comb
 
-from .simplicial import _bits, _popcount, is_chordal, is_flag
+from .simplicial import _bits, _components_masks, is_chordal, is_flag
 from .words import CommutatorExpr, GroupSpec, evaluate
 
 
@@ -87,26 +86,6 @@ class CommutatorGenerator:
         return s
 
 
-def _components_masks(K, sub_mask):
-    """Connected components of the 1-skeleton restricted to ``sub_mask``,
-    as bitmasks in increasing order of smallest vertex."""
-    adj = K.one_skeleton().adj
-    comps = []
-    todo = sub_mask
-    while todo:
-        start = todo & -todo
-        comp = start
-        queue = deque([start.bit_length() - 1])
-        while queue:
-            v = queue.popleft()
-            fresh = adj[v] & sub_mask & ~comp
-            comp |= fresh
-            queue.extend(_bits(fresh))
-        comps.append(comp)
-        todo &= ~comp
-    return comps
-
-
 def enumerate_generators(K):
     """The commutator-subgroup generators of ``K``, ordered by
     (support size, support mask, i).
@@ -121,7 +100,7 @@ def enumerate_generators(K):
     m = K.m
     out = []
     for mask in range(1 << m):
-        if _popcount(mask) < 2:
+        if mask.bit_count() < 2:
             continue
         j_bit = 1 << (mask.bit_length() - 1)
         j = mask.bit_length()
@@ -138,7 +117,7 @@ def enumerate_generators(K):
         for comp in others:
             i = (comp & -comp).bit_length()
             ks = tuple(b + 1 for b in _bits(mask & ~(1 << (i - 1)) & ~j_bit))
-            out.append((_popcount(mask), mask, i,
+            out.append((mask.bit_count(), mask, i,
                         CommutatorGenerator(ks, j, i)))
     out.sort(key=lambda t: t[:3])
     return [g for (_, _, _, g) in out]

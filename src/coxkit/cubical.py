@@ -6,7 +6,9 @@ remaining coordinates are pinned to +-1.  Each face I with k vertices
 contributes 2^(m-k) k-dimensional cells.  The 1-skeleton is always the full
 cube graph (every singleton is a face), so the model is connected and words
 in the associated Coxeter group trace edge paths on it: the letter g_i walks
-along the axis-i edge at the current corner.
+along the axis-i edge at the current corner.  Its spanning tree is read off
+in closed form: an axis-i edge is a tree edge exactly when every coordinate
+above i is +1.
 
 This gives exact, independently computable invariants against which the
 group-theoretic layer is verified: cellular homology, the Euler
@@ -14,7 +16,7 @@ characteristic, an edge-path fundamental-group presentation, and first
 homology classes of word loops.
 """
 
-from collections import deque, namedtuple
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 from . import words
@@ -22,7 +24,7 @@ from .commutators import coxeter_spec, enumerate_generators, generator_count
 from .intlinalg import (HomologyGroup, IntMatrix, LeftReduction,
                         boundary_maps, chain_homology, direct_sum,
                         smith_normal_form)
-from .simplicial import _bits, _popcount, reduced_homology
+from .simplicial import _bits, reduced_homology
 
 MAX_CUBE_VERTICES = 12
 MAX_CHECK_VERTICES = 10     # cap of the splitting check and the certificate
@@ -92,7 +94,7 @@ class CubeComplex:
         face for every sign pattern on the other m - k coordinates."""
         counts = [0] * (self.dim + 1)
         for f in self.K.faces:
-            k = _popcount(f)
+            k = f.bit_count()
             counts[k] += 1 << (self.m - k)
         return counts
 
@@ -150,9 +152,8 @@ class SplittingRow:
 
     @property
     def equal(self):
-        return (self.left.betti == self.right.betti and
-                self.left.elementary_divisors()
-                == self.right.elementary_divisors())
+        # both sides are canonical: Betti number plus a divisibility chain
+        return self.left == self.right
 
 
 @dataclass
@@ -196,35 +197,26 @@ def homology_splitting_check(K):
 class _LoopSystem:
     """Spanning-tree and first-homology bookkeeping for the 1-skeleton.
 
-    The 1-skeleton is the full cube graph on sign vectors.  A spanning tree
-    is grown breadth-first from the all-plus corner, trying axes in
-    increasing order.  An edge is (axis, signs-of-the-other-coordinates)
-    and is oriented from its -1 endpoint to its +1 endpoint.  Cycle-space
-    coordinates of a loop are its signed traversal counts on non-tree
-    edges; first-homology coordinates follow by reducing modulo the image
-    of the 2-cell boundaries via a Smith left transform.
+    The 1-skeleton is the full cube graph on sign vectors.  An edge is
+    (axis, signs-of-the-other-coordinates) and is oriented from its -1
+    endpoint to its +1 endpoint.  The spanning tree is the set of edges
+    whose coordinates above ``axis`` are all +1: it joins every corner to
+    the all-plus one by flipping -1 coordinates from the highest down, and
+    it is the tree that a breadth-first search from the all-plus corner,
+    trying axes in increasing order, grows.  Cycle-space coordinates of a
+    loop are its signed traversal counts on non-tree edges; first-homology
+    coordinates follow by reducing modulo the image of the 2-cell
+    boundaries via a Smith left transform.
     """
 
     def __init__(self, R):
-        m = R.m
-        base = (1 << m) - 1
-        parent = {base: None}
-        order = deque([base])
-        tree = set()
-        while order:
-            v = order.popleft()
-            for axis in range(m):
-                w = v ^ (1 << axis)
-                if w not in parent:
-                    parent[w] = v
-                    tree.add((axis, v & ~(1 << axis)))
-                    order.append(w)
+        full = (1 << R.m) - 1
         edge_cells = R.cells[1] if len(R.cells) > 1 else []
         self.nontree = []
         self.nontree_index = {}
         for free, signs in edge_cells:
             axis = free.bit_length() - 1
-            if (axis, signs) not in tree:
+            if signs >> (axis + 1) != full >> (axis + 1):
                 self.nontree_index[axis, signs] = len(self.nontree)
                 self.nontree.append((axis, signs))
         self.rank_cycles = len(self.nontree)    # = E - V + 1
@@ -243,12 +235,6 @@ class _LoopSystem:
             raise AssertionError(
                 "unexpected torsion in degree-1 homology of a cubical model")
         self.betti1 = self.rank_cycles - self.reduction.rank
-
-    def class_of_cycle(self, vec):
-        """First-homology coordinates of a cycle given by its sparse
-        non-tree-edge traversal counts."""
-        # every factor is 1 (checked in __init__), so no torsion part is left
-        return self.reduction.cokernel_class(vec)[1]
 
 
 @dataclass
@@ -274,22 +260,19 @@ def fundamental_group_presentation(R):
     each square contributes the word of its boundary path."""
     loops = R.loop_system()
     relators = []
-    if len(R.cells) > 2:
-        for free, signs in R.cells[2]:
-            lo = free & -free
-            hi = free & ~lo
-            i = lo.bit_length() - 1
-            j = hi.bit_length() - 1
-            # walk the square from its (-,-) corner:
-            #   +i at j=-1, +j at i=+1, -i at j=+1, -j at i=-1
-            path = [(i, signs, 1), (j, signs | lo, 1),
-                    (i, signs | hi, -1), (j, signs, -1)]
-            word = []
-            for axis, rest, direction in path:
-                idx = loops.nontree_index.get((axis, rest))
-                if idx is not None:
-                    word.append(direction * (idx + 1))
-            relators.append(tuple(word))
+    for cell in (R.cells[2] if len(R.cells) > 2 else ()):
+        faces = list(_cube_faces(cell))
+        # for a square on axes i < j the faces come as: j at i=+1 (+),
+        # j at i=-1 (-), i at j=+1 (-), i at j=-1 (+); the walk from the
+        # (-,-) corner takes them in the order 3, 0, 2, 1, each along its
+        # sign
+        word = []
+        for k in (3, 0, 2, 1):
+            (free, signs), sign = faces[k]
+            idx = loops.nontree_index.get((free.bit_length() - 1, signs))
+            if idx is not None:
+                word.append(sign * (idx + 1))
+        relators.append(tuple(word))
     return Pi1Presentation(list(loops.nontree), relators, loops.betti1)
 
 
@@ -297,27 +280,28 @@ def word_to_loop(R, w, spec):
     """The closed edge path traced by ``w`` from the all-plus corner.
 
     Requires every generator order to be 2 and the exponent sum of ``w``
-    to vanish mod 2 in each coordinate (otherwise the path does not
-    close).  Letters traverse the axis edge at the current corner; the
-    result is a list of ((axis, signs), direction) steps with direction
-    +1 when walking from the -1 endpoint to the +1 endpoint.
+    to vanish mod 2 in each coordinate, that is, the walk ends at its
+    starting corner (otherwise the path does not close).  Letters traverse
+    the axis edge at the current corner; the result is a list of ((axis,
+    signs), direction) steps with direction +1 when walking from the -1
+    endpoint to the +1 endpoint.
     """
     if spec.m != R.m:
         raise ValueError("word group and cubical model have different ranks")
     if not spec.is_coxeter():
         raise ValueError("edge paths need every generator of order 2")
-    if any(words.abelianization(w, spec)):
-        raise ValueError("word does not close up: nonzero exponent sum")
-    pos = (1 << R.m) - 1
+    start = pos = (1 << R.m) - 1
     steps = []
     for v, e in w:
-        spec.check_vertex(v)
+        spec.check_letter(v, e)
         if e % 2 == 0:
             continue
         bit = 1 << (v - 1)
         direction = -1 if pos & bit else 1
         steps.append((((v - 1), pos & ~bit), direction))
         pos ^= bit
+    if pos != start:
+        raise ValueError("word does not close up: nonzero exponent sum")
     return steps
 
 
@@ -329,7 +313,9 @@ def loop_class(R, steps):
         idx = loops.nontree_index.get(edge)
         if idx is not None:
             vec[idx] = vec.get(idx, 0) + direction
-    return loops.class_of_cycle(vec)
+    # every factor is 1 (checked by the loop system), so no torsion part
+    # is left
+    return loops.reduction.cokernel_class(vec)[1]
 
 
 def word_class(R, w, spec):

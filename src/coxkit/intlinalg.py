@@ -289,22 +289,24 @@ class _Reduction:
         """Eliminate with pivot (r, c), which may move on the way, and drop
         the pivot row; returns the dropped row's entries.
 
-        1. Clear column c by Euclidean row operations; a nonzero remainder
-           becomes the pivot.
+        1. Clear column c by Euclidean row operations, row by row in index
+           order; a nonzero remainder becomes the pivot.
         2. Reduce row r modulo the pivot by column operations in place;
-           the least nonzero remainder becomes the pivot, and step 1 runs
-           again.
-        3. Fold a row holding an entry the pivot does not divide into row
-           r, and start again.  Then the pivot divides every entry left,
-           so the factors come out in divisibility order.
-        Steps 2 and 3 have nothing to do for a unit pivot.
+           the least nonzero remainder, in the lowest column on a tie,
+           becomes the pivot, and step 1 runs again.
+        3. Fold the lowest row holding an entry the pivot does not divide
+           into row r, and start again.  Then the pivot divides every
+           entry left, so the factors come out in divisibility order.
+        Steps 2 and 3 have nothing to do for a unit pivot.  Every choice
+        goes by index, so U is a function of the matrix alone.
         """
         row, colrows = self.row, self.colrows
         while True:
             d = row[r][c]
             rows = colrows[c]
             while len(rows) > 1:                            # step 1
-                for r2 in list(rows):
+                # a unit leaves no remainder, so its walk order is moot
+                for r2 in (list(rows) if abs(d) == 1 else sorted(rows)):
                     if r2 != r:
                         v = row[r2][c]
                         q = v // d
@@ -325,10 +327,10 @@ class _Reduction:
                         del prow[c2]
                         colrows[c2].discard(r)
             if len(prow) > 1:
-                c = min(prow, key=lambda k: abs(prow[k]))
+                c = min(prow, key=lambda k: (abs(prow[k]), k))
                 continue
-            bad = next((r2 for r2, entries in row.items()   # step 3
-                        if any(v % d for v in entries.values())), None)
+            bad = min((r2 for r2, entries in row.items()    # step 3
+                       if any(v % d for v in entries.values())), default=None)
             if bad is None:
                 break
             self.add_row(bad, r, 1)

@@ -17,10 +17,6 @@ from .intlinalg import boundary_maps, chain_homology
 MAX_VERTICES = 24
 
 
-def _popcount(x):
-    return bin(x).count("1")
-
-
 def _bits(mask):
     i = 0
     while mask:
@@ -162,11 +158,11 @@ class SimplicialComplex:
     # -- basic queries -----------------------------------------------------
 
     def dim(self):
-        return max(_popcount(f) for f in self.faces) - 1
+        return max(f.bit_count() for f in self.faces) - 1
 
     def faces_of_size(self, k):
         """Faces with exactly k vertices, as sorted masks."""
-        return sorted(f for f in self.faces if _popcount(f) == k)
+        return sorted(f for f in self.faces if f.bit_count() == k)
 
     def face_count(self):
         return len(self.faces)
@@ -203,7 +199,7 @@ class SimplicialComplex:
         if self._skeleton is None:
             edges = []
             for f in self.faces:
-                if _popcount(f) == 2:
+                if f.bit_count() == 2:
                     a, b = _bits(f)
                     edges.append((a + 1, b + 1))
             self._skeleton = Graph(self.m, edges, self.labels)
@@ -240,23 +236,30 @@ class SimplicialComplex:
     def connected_components(self):
         """Components of the 1-skeleton, as tuples of external labels,
         ordered by their smallest vertex."""
-        g = self.one_skeleton()
-        seen = 0
-        comps = []
-        for start in range(self.m):
-            if seen >> start & 1:
-                continue
-            comp = 1 << start
-            queue = deque([start])
-            while queue:
-                v = queue.popleft()
-                fresh = g.adj[v] & ~comp
-                comp |= fresh
-                queue.extend(_bits(fresh))
-            seen |= comp
-            comps.append(tuple(sorted(self.labels[i] for i in _bits(comp))))
+        comps = [tuple(sorted(self.labels[i] for i in _bits(comp)))
+                 for comp in _components_masks(self, (1 << self.m) - 1)]
         comps.sort(key=lambda c: c[0])
         return comps
+
+
+def _components_masks(K, sub_mask):
+    """Connected components of the 1-skeleton restricted to ``sub_mask``,
+    as bitmasks in increasing order of smallest vertex."""
+    adj = K.one_skeleton().adj
+    comps = []
+    todo = sub_mask
+    while todo:
+        start = todo & -todo
+        comp = start
+        queue = deque([start.bit_length() - 1])
+        while queue:
+            v = queue.popleft()
+            fresh = adj[v] & sub_mask & ~comp
+            comp |= fresh
+            queue.extend(_bits(fresh))
+        comps.append(comp)
+        todo &= ~comp
+    return comps
 
 
 def clique_complex(graph):
@@ -421,7 +424,7 @@ def _reduced_homology_key(m, faces):
     # level k holds the faces with k vertices; the empty face spans degree -1
     by_size = {}
     for f in faces:
-        by_size.setdefault(_popcount(f), []).append(f)
+        by_size.setdefault(f.bit_count(), []).append(f)
     levels = [sorted(by_size.get(k, ())) for k in range(max(by_size) + 1)]
     return chain_homology(boundary_maps(levels, _simplex_faces))
 

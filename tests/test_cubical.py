@@ -184,6 +184,54 @@ def test_pi1_relators_match_two_cell_boundaries():
                 assert counts.get(row, 0) == loops.relators.entry(row, col)
 
 
+def test_pi1_relators_are_corner_walks():
+    # each relator walks its square from the (-,-) corner, +i at j=-1, +j
+    # at i=+1, -i at j=+1, -j at i=-1 (axes i < j), keeping non-tree edges
+    rng = random.Random(47)
+    complexes = [C4, boundary_complex(3)] + \
+        [random_complex(rng.randint(2, 5), rng) for _ in range(10)]
+    for K in complexes:
+        R = build(K)
+        index = R.loop_system().nontree_index
+        want = []
+        for free, signs in (R.cells[2] if len(R.cells) > 2 else ()):
+            i, j = [a for a in range(K.m) if free >> a & 1]
+            walk = [(i, signs, 1), (j, signs | 1 << i, 1),
+                    (i, signs | 1 << j, -1), (j, signs, -1)]
+            want.append(tuple(d * (index[a, s] + 1) for a, s, d in walk
+                              if (a, s) in index))
+        assert fundamental_group_presentation(R).relators == want
+
+
+def _bfs_tree(m):
+    """Tree edges (axis, signs) of a breadth-first search of the m-cube
+    graph from the all-plus corner, trying axes in increasing order."""
+    base = (1 << m) - 1
+    seen = {base}
+    queue = [base]
+    tree = set()
+    for v in queue:
+        for axis in range(m):
+            w = v ^ (1 << axis)
+            if w not in seen:
+                seen.add(w)
+                tree.add((axis, v & ~(1 << axis)))
+                queue.append(w)
+    return tree
+
+
+def test_nontree_edges_complement_a_breadth_first_tree():
+    rng = random.Random(53)
+    complexes = [SimplicialComplex.points(m) for m in range(1, 11)] + \
+        [random_complex(rng.randint(1, 7), rng) for _ in range(15)]
+    for K in complexes:
+        R = build(K)
+        tree = _bfs_tree(K.m)
+        assert len(tree) == 2 ** K.m - 1
+        edges = [(free.bit_length() - 1, signs) for free, signs in R.cells[1]]
+        assert R.loop_system().nontree == [e for e in edges if e not in tree]
+
+
 def test_loop_system_builds_relators_without_boundaries():
     relator_nnz = []
     for K in (SimplicialComplex.cycle(5), SimplicialComplex.points(4),
@@ -233,6 +281,17 @@ def test_word_to_loop_requirements():
     assert len(loop) == 4
     assert loop_class(R, loop) == word_class(
         R, ((1, 1), (2, 1), (1, 1), (2, 1)), spec)
+
+
+def test_word_to_loop_checks_every_letter():
+    R = build(C4)
+    spec = coxeter_spec(C4)
+    with pytest.raises(ValueError):
+        word_to_loop(R, ((1, True), (1, True)), spec)   # boolean exponent
+    with pytest.raises(ValueError):
+        word_to_loop(R, ((5, 1), (5, 1)), spec)         # vertex out of range
+    with pytest.raises(ValueError):
+        word_to_loop(R, ((1, 1), (2, 1), (1, 1)), spec)  # does not close up
 
 
 def test_basis_certificate_examples():

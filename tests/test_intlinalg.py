@@ -380,6 +380,32 @@ def test_unit_pivot_ties_ignore_entry_order():
             assert LeftReduction(A)._u_rows == LeftReduction(B)._u_rows
 
 
+def test_euclidean_pivot_ties_ignore_entry_order():
+    # no entry is +-1, so the Euclidean phase makes every pivot: its row
+    # walk, its least-remainder column and its folded row go by index, so
+    # U must not depend on the order the entries came in.  In the first
+    # matrix, rows 0 and 8 share a hash slot of column 0's row set and both
+    # leave a remainder against the pivot 2 in row 4.
+    rng = random.Random(61)
+    mats = [[((0, 0), 3), ((4, 0), 2), ((8, 0), 3)]]
+    for _ in range(80):
+        rows, cols = rng.randint(6, 30), rng.randint(6, 14)
+        p = rng.choice([0.2, 0.5, 1])
+        mats.append([((r, c), rng.choice([2, -2, 3, 4, 6]))
+                     for r in range(rows) for c in range(cols)
+                     if rng.random() < p])
+    for entries in mats:
+        rows = 1 + max(r for (r, _), _ in entries)
+        cols = 1 + max(c for (_, c), _ in entries)
+        A = IntMatrix(rows, cols, entries)
+        B = IntMatrix(rows, cols, entries[::-1])
+        assert A == B and list(A.items()) != list(B.items())
+        red = _Reduction(A)
+        red.run()
+        assert red.units == 0 and red.pivots
+        assert LeftReduction(A)._u_rows == LeftReduction(B)._u_rows
+
+
 def _unimodular_pair(rng, n):
     """A random unimodular P and its inverse Q, as dense rows: products of
     elementary operations with multipliers +-1, +-2, then a permutation."""

@@ -107,6 +107,9 @@ def test_connected_components():
     assert K.connected_components() == [(1,), (2,), (3,), (4,), (5,)]
     C4 = SimplicialComplex.cycle(4)
     assert C4.connected_components() == [(1, 2, 3, 4)]
+    # components list their labels sorted and come ordered by smallest label
+    K = clique_complex(Graph(4, [(1, 2), (3, 4)], labels=(9, 5, 7, 1)))
+    assert K.connected_components() == [(1, 7), (5, 9)]
 
 
 def test_components_match_reduced_h0():
