@@ -240,6 +240,8 @@ def cmd_pi1(args):
 def cmd_selftest(args):
     rng = random.Random(args.seed)
     trials = args.trials
+    if trials < 0:
+        raise ValueError(f"--trials must be non-negative, got {trials}")
     graphs = [simplicial.Graph(4, []),
               simplicial.Graph(4, [(1, 2), (3, 4)]),
               simplicial.Graph(4, [(1, 2), (2, 3), (3, 4)]),

@@ -206,7 +206,8 @@ class _LoopSystem:
     trying axes in increasing order, grows.  Cycle-space coordinates of a
     loop are its signed traversal counts on non-tree edges; first-homology
     coordinates follow by reducing modulo the image of the 2-cell
-    boundaries via a Smith left transform.
+    boundaries via a Smith left transform.  ``relator_words`` holds each
+    square's boundary walk as signed 1-based non-tree edge ids.
     """
 
     def __init__(self, R):
@@ -220,14 +221,25 @@ class _LoopSystem:
                 self.nontree_index[axis, signs] = len(self.nontree)
                 self.nontree.append((axis, signs))
         self.rank_cycles = len(self.nontree)    # = E - V + 1
-        # relator matrix: the squares' boundaries on the non-tree edges
+        # each square's boundary on the non-tree edges, once as a relator
+        # word and once as a column of the relator matrix
         two_cells = R.cells[2] if len(R.cells) > 2 else []
         rows = {}
+        self.relator_words = []
         for c, cell in enumerate(two_cells):
-            for (free, signs), sign in _cube_faces(cell):
+            faces = list(_cube_faces(cell))
+            # for a square on axes i < j the faces come as: j at i=+1 (+),
+            # j at i=-1 (-), i at j=+1 (-), i at j=-1 (+); the walk from the
+            # (-,-) corner takes them in the order 3, 0, 2, 1, each along
+            # its sign
+            word = []
+            for k in (3, 0, 2, 1):
+                (free, signs), sign = faces[k]
                 idx = self.nontree_index.get((free.bit_length() - 1, signs))
                 if idx is not None:
                     rows.setdefault(idx, {})[c] = sign
+                    word.append(sign * (idx + 1))
+            self.relator_words.append(tuple(word))
         self.relators = IntMatrix._from_rows(self.rank_cycles,
                                              len(two_cells), rows)
         self.reduction = LeftReduction(self.relators)
@@ -259,21 +271,8 @@ def fundamental_group_presentation(R):
     """Presentation read off the 2-skeleton: spanning-tree edges collapse,
     each square contributes the word of its boundary path."""
     loops = R.loop_system()
-    relators = []
-    for cell in (R.cells[2] if len(R.cells) > 2 else ()):
-        faces = list(_cube_faces(cell))
-        # for a square on axes i < j the faces come as: j at i=+1 (+),
-        # j at i=-1 (-), i at j=+1 (-), i at j=-1 (+); the walk from the
-        # (-,-) corner takes them in the order 3, 0, 2, 1, each along its
-        # sign
-        word = []
-        for k in (3, 0, 2, 1):
-            (free, signs), sign = faces[k]
-            idx = loops.nontree_index.get((free.bit_length() - 1, signs))
-            if idx is not None:
-                word.append(sign * (idx + 1))
-        relators.append(tuple(word))
-    return Pi1Presentation(list(loops.nontree), relators, loops.betti1)
+    return Pi1Presentation(list(loops.nontree), list(loops.relator_words),
+                           loops.betti1)
 
 
 def word_to_loop(R, w, spec):

@@ -11,6 +11,7 @@ the rows that unit pivots of the one below settled (:func:`chain_homology`).
 """
 
 import heapq
+import math
 from dataclasses import dataclass
 
 
@@ -128,20 +129,6 @@ class IntMatrix:
         return f"IntMatrix({self.rows}x{self.cols}, nnz={self.nnz()})"
 
 
-def _factorint(n):
-    """Prime factorisation of ``n >= 1`` by trial division (values here are tiny)."""
-    factors = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        factors[n] = factors.get(n, 0) + 1
-    return factors
-
-
 @dataclass(frozen=True)
 class HomologyGroup:
     """A finitely generated abelian group: free rank plus invariant factors.
@@ -155,10 +142,12 @@ class HomologyGroup:
     torsion: tuple = ()
 
     def __post_init__(self):
+        _check_int(self.betti, "betti number")
         if self.betti < 0:
             raise ValueError("betti number must be non-negative")
         object.__setattr__(self, "torsion", tuple(self.torsion))
         for t in self.torsion:
+            _check_int(t, "torsion coefficient")
             if t < 2:
                 raise ValueError(f"torsion coefficient {t} < 2")
         for a, b in zip(self.torsion, self.torsion[1:]):
@@ -168,14 +157,6 @@ class HomologyGroup:
 
     def is_trivial(self):
         return self.betti == 0 and not self.torsion
-
-    def elementary_divisors(self):
-        """Sorted multiset of prime-power cyclic summand orders."""
-        divisors = []
-        for t in self.torsion:
-            for p, e in _factorint(t).items():
-                divisors.append(p ** e)
-        return sorted(divisors)
 
     def __str__(self):
         parts = []
@@ -191,29 +172,23 @@ def direct_sum(groups):
     """Direct sum of finitely generated abelian groups, re-normalised.
 
     The invariant factors of a direct sum are not the concatenation of the
-    summands' factors (Z/2 + Z/3 = Z/6), so we split everything into
-    prime-power elementary divisors and reassemble the divisibility chain.
+    summands' factors (Z/2 + Z/3 = Z/6).  Each factor t is folded into the
+    chain built so far: at each position f becomes gcd(f, t) and lcm(f, t)
+    is carried on as the new t, and what is left is appended.  The group
+    is unchanged, as Z/f + Z/t = Z/gcd + Z/lcm, and the list stays a chain:
+    gcd(f_i, t) divides f_i, which divides both f_{i+1} and the lcm carried
+    on.  The factors that became 1 are dropped at the end.
     """
     betti = 0
-    by_prime = {}
+    chain = []
     for g in groups:
         betti += g.betti
         for t in g.torsion:
-            for p, e in _factorint(t).items():
-                by_prime.setdefault(p, []).append(e)
-    chains = []
-    for p, exps in by_prime.items():
-        exps.sort(reverse=True)
-        chains.append([p ** e for e in exps])
-    depth = max((len(c) for c in chains), default=0)
-    factors = []
-    for k in range(depth):
-        d = 1
-        for chain in chains:
-            if k < len(chain):
-                d *= chain[k]
-        factors.append(d)
-    return HomologyGroup(betti, tuple(reversed(factors)))
+            for i, f in enumerate(chain):
+                d = math.gcd(f, t)
+                chain[i], t = d, f // d * t
+            chain.append(t)
+    return HomologyGroup(betti, tuple(f for f in chain if f > 1))
 
 
 # ---------------------------------------------------------------------------

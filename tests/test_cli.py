@@ -154,6 +154,14 @@ def test_selftest(capsys):
     assert doc["verdict"] and doc["hall"] == doc["trials"] == 25
 
 
+def test_selftest_negative_trials_exit_2(capsys):
+    code, out, err = run(capsys, "selftest", "--trials", "-3")
+    assert code == 2 and out == "" and "-3" in err
+    code, out, _ = run(capsys, "selftest", "--trials", "0")
+    assert code == 0
+    assert "hall identities: 0/0" in out and "selftest: ok" in out
+
+
 def test_malformed_document_exit_2(tmp_path, capsys):
     path = write(tmp_path, "{]")
     code, _, err = run(capsys, "flag", path)

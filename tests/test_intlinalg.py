@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 
@@ -301,6 +302,11 @@ def test_homology_group_validation():
         HomologyGroup(0, (1,))
     with pytest.raises(ValueError):
         HomologyGroup(0, (4, 6))
+    # only exact integers: no floats, no bools
+    for betti, torsion in [(1.5, ()), (0, (2.5,)), (0, (2, 4.0)),
+                           (True, ()), (0, (2, True))]:
+        with pytest.raises(ValueError, match="not an exact integer"):
+            HomologyGroup(betti, torsion)
     assert str(HomologyGroup(2, (2, 4))) == "Z^2 + Z/2 + Z/4"
     assert str(HomologyGroup(0)) == "0"
 
@@ -311,8 +317,61 @@ def test_direct_sum_regroups_torsion():
     assert direct_sum([a, b]) == HomologyGroup(1, (6,))
     assert direct_sum([a, a]) == HomologyGroup(2, (2, 2))
     assert direct_sum([]) == HomologyGroup(0)
-    # elementary-divisor comparison sees through invariant-factor shapes
-    assert HomologyGroup(0, (6,)).elementary_divisors() == [2, 3]
+    assert direct_sum([HomologyGroup(0, (4,)), HomologyGroup(0, (6,))]) == \
+        HomologyGroup(0, (2, 12))
+    assert direct_sum([HomologyGroup(0, (2, 6)), HomologyGroup(0, (3, 9)),
+                       HomologyGroup(0, (5,))]) == \
+        HomologyGroup(0, (3, 6, 90))
+
+
+def _prime_power_direct_sum(groups):
+    """Reference: split every factor into prime powers by trial division,
+    then let the k-th largest factor be the product over primes of each
+    prime's k-th largest power."""
+    powers = {}
+    for g in groups:
+        for t in g.torsion:
+            p = 2
+            while t > 1:
+                q = 1
+                while t % p == 0:
+                    t //= p
+                    q *= p
+                if q > 1:
+                    powers.setdefault(p, []).append(q)
+                p += 1
+    chains = [sorted(qs, reverse=True) for qs in powers.values()]
+    depth = max(map(len, chains), default=0)
+    factors = [math.prod(c[k] for c in chains if k < len(c))
+               for k in range(depth)]
+    return HomologyGroup(sum(g.betti for g in groups),
+                         tuple(reversed(factors)))
+
+
+def test_direct_sum_matches_prime_power_reference():
+    rng = random.Random(909)
+    for _ in range(2500):
+        groups = []
+        for _ in range(rng.randint(0, 12)):
+            chain, f = [], rng.randint(1, 12)
+            for _ in range(rng.randint(0, 3)):
+                if f > 1:
+                    chain.append(f)
+                f *= rng.randint(1, 6)
+            groups.append(HomologyGroup(rng.randint(0, 2), tuple(chain)))
+        assert direct_sum(groups) == _prime_power_direct_sum(groups)
+
+
+def test_direct_sum_of_large_prime_factors():
+    # 2^60 + 33 and 2^60 + 91 are prime; no factorisation is attempted
+    p, q = 2 ** 60 + 33, 2 ** 60 + 91
+    start = time.perf_counter()
+    got = direct_sum([HomologyGroup(0, (p * q,)), HomologyGroup(0, (6,))])
+    shared = direct_sum([HomologyGroup(0, (2 * p * q,)),
+                         HomologyGroup(0, (6,))])
+    assert time.perf_counter() - start < 1
+    assert got == HomologyGroup(0, (6 * p * q,))
+    assert shared == HomologyGroup(0, (2, 6 * p * q))
 
 
 def test_chain_homology_circle():
