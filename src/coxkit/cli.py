@@ -143,12 +143,12 @@ def cmd_gens(args):
         f"{k}:{v}" for k, v in sorted(per_length.items())) or "-"))
     if args.words:
         spec = commutators.coxeter_spec(K)
-        expanded = [[list(letter) for letter in g.word(spec)] for g in gens]
-        payload["words"] = expanded
-        for g, w in zip(gens, expanded):
-            lines.append(f"{json.dumps(g.nested())} = {json.dumps(w)}")
-    else:
-        lines.extend(json.dumps(g.nested()) for g in gens)
+        payload["words"] = [list(map(list, g.word(spec))) for g in gens]
+    if not args.json:
+        out = map(json.dumps, payload["generators"])
+        if args.words:
+            out = map(" = ".join, zip(out, map(json.dumps, payload["words"])))
+        lines.extend(out)
     _emit(args, payload, lines)
     return 0
 

@@ -85,11 +85,15 @@ class GroupSpec:
         return self.graph.has_edge(i, j)
 
     def check_vertex(self, v):
+        if type(v) is int and 0 < v <= self.m:
+            return
         if isinstance(v, bool) or not isinstance(v, int) or \
                 not 1 <= v <= self.m:
             raise ValueError(f"vertex {v!r} out of range 1..{self.m}")
 
     def check_letter(self, v, e):
+        if type(v) is int and type(e) is int and 0 < v <= self.m:
+            return
         self.check_vertex(v)
         if isinstance(e, bool) or not isinstance(e, int):
             raise ValueError(f"exponent {e!r} is not an integer")
@@ -307,7 +311,7 @@ def evaluate(expr, spec):
         spec.check_vertex(v)
         return generator(v)         # its own normal form: no order is 1
 
-    if isinstance(expr, int):
+    if not isinstance(expr, CommutatorExpr):
         return leaf(expr)
     return expr._fold(leaf, lambda a, b: commutator(a, b, spec))
 
@@ -370,19 +374,6 @@ def verify_swap(p, q, x, spec):
 # Geometric (reflection) representation for the all-orders-2 case
 # ---------------------------------------------------------------------------
 
-def _apply_reflection(rows, i0, noncommuting_rows):
-    """Left-multiply the row-list matrix by the reflection of generator
-    i0 (0-based): only row i0 changes."""
-    m = len(rows)
-    old = rows[i0]
-    new = [-x for x in old]
-    for k in noncommuting_rows:
-        rk = rows[k]
-        for j in range(m):
-            new[j] += 2 * rk[j]
-    rows[i0] = new
-
-
 def geometric_representation(w, spec):
     """The image of ``w`` under the standard reflection representation.
 
@@ -392,28 +383,37 @@ def geometric_representation(w, spec):
     entries integral.  The representation is faithful, so the resulting
     matrix is the identity exactly when ``w`` is the identity element;
     this is the package's independent word-problem oracle.
+
+    Letters multiply in on the left, last first: an odd g_i sets only row
+    i, to 2 (sum of the |nc| rows not commuting with i) - row i, by m |nc|
+    additions in C (``sum``) and one m-entry comprehension.  It reads the
+    graph, not ``spec.noncommuting``, to share no code with normal_form.
     """
     if not spec.is_coxeter():
         raise ValueError("the reflection representation needs every "
                          "generator to have order 2")
     m = spec.m
-    noncomm = []
-    for i in range(m):
-        noncomm.append([k for k in range(m)
-                        if k != i and not spec.graph.adj[i] >> k & 1])
+    noncomm = [[k for k in range(m) if k != i and not a >> k & 1]
+               for i, a in enumerate(spec.graph.adj)]
     rows = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    # ((v1,e1), ..., (vL,eL)) acts as the product of the letter matrices,
-    # accumulated right to left so each letter is a cheap row update
     for v, e in reversed(w):
         spec.check_letter(v, e)
         if e % 2:
-            _apply_reflection(rows, v - 1, noncomm[v - 1])
-    return IntMatrix.from_dense(rows)
+            i = v - 1
+            nc = noncomm[i]
+            if nc:
+                rows[i] = [2 * s - x for x, s in zip(
+                    rows[i], map(sum, zip(*[rows[k] for k in nc])))]
+            else:
+                rows[i] = [-x for x in rows[i]]
+    # a product of reflections is invertible, so no row is empty
+    return IntMatrix._from_rows(m, m, dict(enumerate(
+        {c: x for c, x in enumerate(row) if x} for row in rows)))
 
 
 def is_identity_matrix(mat):
-    return mat.rows == mat.cols and \
-        mat == IntMatrix.identity(mat.rows)
+    n = mat.rows        # == also compares the column counts
+    return mat == IntMatrix._from_rows(n, n, {i: {i: 1} for i in range(n)})
 
 
 def random_word(spec, length, rng):

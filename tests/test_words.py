@@ -1,8 +1,10 @@
 import random
+from enum import IntEnum
 
 import pytest
 
-from coxkit.simplicial import Graph
+from coxkit.cubical import build, word_to_loop
+from coxkit.simplicial import Graph, SimplicialComplex
 from coxkit.words import (CommutatorExpr, GroupSpec, abelianization,
                           commutator, evaluate, generator,
                           geometric_representation, inverse, is_identity,
@@ -241,6 +243,87 @@ def test_geometric_representation_basics():
         geometric_representation(((2, 1), (1, 1), (2, 1), (1, 1)), EDGE2))
     with pytest.raises(ValueError):
         geometric_representation((), GroupSpec.artin(Graph(2, [])))
+
+
+def _dense_product(factors, m):
+    out = [[int(i == j) for j in range(m)] for i in range(m)]
+    for f in factors:
+        out = [[sum(out[i][k] * f[k][j] for k in range(m)) for j in range(m)]
+               for i in range(m)]
+    return out
+
+
+def test_geometric_representation_matches_dense_letter_product():
+    # reference: the product, left to right, of the dense letter matrices;
+    # letter g_i is the identity with row i set to -1 at i and 2 at every
+    # vertex not commuting with i
+    rng = random.Random(5301)
+    widest = 0
+    for _ in range(120):
+        m = rng.randint(1, 8)
+        edges = [(a, b) for a in range(1, m + 1) for b in range(a + 1, m + 1)
+                 if rng.random() < rng.choice((0.0, 0.3, 0.6))]
+        spec = GroupSpec.coxeter(Graph(m, edges))
+        w = tuple((rng.randint(1, m), rng.randint(-3, 3))
+                  for _ in range(rng.randint(0, 200)))
+        factors = []
+        for v, e in w:
+            f = [[int(i == j) for j in range(m)] for i in range(m)]
+            if e % 2:
+                f[v - 1] = [-1 if j == v - 1 else
+                            0 if spec.commutes(v, j + 1) else 2
+                            for j in range(m)]
+            factors.append(f)
+        dense = _dense_product(factors, m)
+        assert geometric_representation(w, spec).to_dense() == dense
+        widest = max([widest] + [abs(x).bit_length() for r in dense for x in r])
+    assert widest > 64             # entries beyond machine words are covered
+
+
+class _Small(IntEnum):
+    ONE = 1
+    TWO = 2
+    THREE = 3
+
+
+def test_letter_checks_at_every_entry_point():
+    K = SimplicialComplex.from_maximal_faces(3, [[1, 2], [3]])
+    spec = GroupSpec.coxeter(K.one_skeleton())
+    R = build(K)
+    # each entry point applied to a word that closes up as a loop
+    entry_points = {
+        "normal_form": lambda w: normal_form(w, spec),
+        "inverse": lambda w: inverse(w, spec),
+        "commutator": lambda w: commutator(w, generator(1), spec),
+        "abelianization": lambda w: abelianization(w, spec),
+        "geometric_representation":
+            lambda w: geometric_representation(w, spec).to_dense(),
+        "word_to_loop": lambda w: word_to_loop(R, w, spec),
+    }
+    bad_vertices = (True, 0, 4, 1.0, "1")
+    bad_exponents = (True, 1.0, "1")
+    for name, call in entry_points.items():
+        for bad in bad_vertices:
+            with pytest.raises(ValueError, match="vertex"):
+                call(((bad, 1), (bad, 1)))
+        for bad in bad_exponents:
+            with pytest.raises(ValueError, match="exponent"):
+                call(((1, bad), (1, bad)))
+        # an int subclass other than bool is still a vertex or exponent
+        plain = ((3, 1), (1, 1), (3, 1), (1, 3))
+        enum = ((_Small.THREE, 1), (_Small.ONE, 1), (3, _Small.ONE),
+                (1, _Small.THREE))
+        assert call(enum) == call(plain), name
+    # evaluate takes vertices only, at the top and inside an expression
+    for bad in bad_vertices:
+        with pytest.raises(ValueError, match="vertex"):
+            evaluate(bad, spec)
+        if isinstance(bad, int):
+            with pytest.raises(ValueError, match="vertex"):
+                evaluate(CommutatorExpr(bad, 1), spec)
+    assert evaluate(CommutatorExpr(_Small.THREE, _Small.ONE), spec) == \
+        evaluate(CommutatorExpr(3, 1), spec)
+    assert evaluate(_Small.TWO, spec) == evaluate(2, spec)
 
 
 def test_oracle_agreement():
