@@ -5,10 +5,19 @@ either as strict JSON or with bare keys:
 
     {m: 4, maximal_faces: [[1,2],[2,3],[4]]}
 
-Every command reads one document (file path argument, or standard input
-when the path is ``-``), prints a human-readable report by default or a
-JSON document with ``--json``, and exits 0 for success/true verdicts, 1
-for false verdicts, 2 for malformed input and 3 for an internal error.
+Every command except ``selftest`` reads one document (file path argument,
+or standard input when the path is ``-``), prints a human-readable report
+by default or a JSON document with ``--json``, and exits 0 for
+success/true verdicts, 1 for false verdicts, 2 for malformed input and 3
+for an internal error.
+
+Each command is a function ``cmd_x(K, args) -> (verdict, payload, lines)``
+that does no I/O: ``K`` is the parsed complex (``None`` for ``selftest``),
+``payload`` the JSON fields and ``lines`` the text report, any iterable of
+strings.  Only :func:`main` reads the document, prints, and maps the
+outcome to an exit code.  Under ``--json`` it prints the payload with the
+input echoed as ``m`` and ``maximal_faces``; otherwise it prints ``lines``,
+so the text report never builds the echo.
 """
 
 import argparse
@@ -18,6 +27,7 @@ import re
 import sys
 import traceback
 from collections import Counter
+from itertools import chain
 
 from . import commutators, cubical, intlinalg, simplicial, words
 from .simplicial import SimplicialComplex
@@ -72,28 +82,16 @@ def parse_document(text):
     return SimplicialComplex.from_maximal_faces(m, faces)
 
 
-def _read_document(args):
-    if args.document == "-":
+def _read_document(path):
+    if path == "-":
         text = sys.stdin.read()
     else:
         try:
-            with open(args.document, "r", encoding="utf-8") as fh:
+            with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
-            raise DocumentError(f"cannot read {args.document}: {exc}")
+            raise DocumentError(f"cannot read {path}: {exc}")
     return parse_document(text)
-
-
-def _emit(args, payload, lines):
-    if args.json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
-
-
-def _echo(K):
-    return {"m": K.m, "maximal_faces": K.maximal_faces()}
 
 
 def _group_fields(h):
@@ -102,22 +100,18 @@ def _group_fields(h):
 
 # -- commands ---------------------------------------------------------------
 
-def cmd_flag(args):
-    K = _read_document(args)
+def cmd_flag(K, args):
     ok, witness = simplicial.is_flag(K)
-    payload = {**_echo(K), "verdict": ok,
-               "witness": list(witness) if witness else None}
     lines = [f"flag: {str(ok).lower()}"]
     if witness:
         lines.append(f"witness missing face: {list(witness)}")
-    _emit(args, payload, lines)
-    return 0 if ok else 1
+    return ok, {"verdict": ok,
+                "witness": list(witness) if witness else None}, lines
 
 
-def cmd_chordal(args):
-    K = _read_document(args)
+def cmd_chordal(K, args):
     res = simplicial.is_chordal(K.one_skeleton())
-    payload = {**_echo(K), "verdict": res.chordal,
+    payload = {"verdict": res.chordal,
                "ordering": list(res.ordering) if res.ordering else None,
                "witness": list(res.cycle) if res.cycle else None}
     lines = [f"chordal: {str(res.chordal).lower()}"]
@@ -125,70 +119,55 @@ def cmd_chordal(args):
         lines.append(f"perfect elimination ordering: {list(res.ordering)}")
     else:
         lines.append(f"chordless cycle: {list(res.cycle)}")
-    _emit(args, payload, lines)
-    return 0 if res.chordal else 1
+    return res.chordal, payload, lines
 
 
-def cmd_gens(args):
-    K = _read_document(args)
+def cmd_gens(K, args):
+    if args.words:
+        cubical._check_size(K, "the generator words")
     gens = commutators.enumerate_generators(K)
     count = commutators.generator_count(K)
-    per_length = Counter(g.length for g in gens)
-    payload = {**_echo(K),
-               "generators": [g.nested() for g in gens],
+    per_length = sorted(Counter(g.length for g in gens).items())
+    payload = {"generators": [g.nested() for g in gens],
                "count": count,
-               "per_length": {str(k): v for k, v in sorted(per_length.items())}}
-    lines = [f"count: {count}"]
-    lines.append("per-length: " + (" ".join(
-        f"{k}:{v}" for k, v in sorted(per_length.items())) or "-"))
+               "per_length": {str(k): v for k, v in per_length}}
+    head = [f"count: {count}", "per-length: " + (
+        " ".join(f"{k}:{v}" for k, v in per_length) or "-")]
+    out = map(json.dumps, payload["generators"])
     if args.words:
         spec = commutators.coxeter_spec(K)
         payload["words"] = [list(map(list, g.word(spec))) for g in gens]
-    if not args.json:
-        out = map(json.dumps, payload["generators"])
-        if args.words:
-            out = map(" = ".join, zip(out, map(json.dumps, payload["words"])))
-        lines.extend(out)
-    _emit(args, payload, lines)
-    return 0
+        out = map(" = ".join, zip(out, map(json.dumps, payload["words"])))
+    return True, payload, chain(head, out)
 
 
-def cmd_free(args):
-    K = _read_document(args)
+def cmd_free(K, args):
     verdict = commutators.commutator_subgroup_is_free(K)
-    payload = {**_echo(K), "verdict": verdict}
-    _emit(args, payload, [f"commutator subgroup free: "
-                          f"{str(verdict).lower()}"])
-    return 0 if verdict else 1
+    return verdict, {"verdict": verdict}, [f"commutator subgroup free: "
+                                           f"{str(verdict).lower()}"]
 
 
-def cmd_homology(args):
-    K = _read_document(args)
+def cmd_homology(K, args):
     R = cubical.build(K)
     hs = R.homology()
     betti = [h.betti for h in hs]
     torsion = [list(h.torsion) for h in hs]
-    payload = {**_echo(K), "betti": betti, "torsion": torsion,
+    payload = {"betti": betti, "torsion": torsion,
                "euler": R.euler_characteristic()}
     lines = ["degree  betti  torsion"]
     for k, h in enumerate(hs):
         tor = ",".join(str(t) for t in h.torsion) or "-"
         lines.append(f"{k:<7} {h.betti:<6} {tor}")
     lines.append(f"euler characteristic: {payload['euler']}")
-    _emit(args, payload, lines)
-    return 0
+    return True, payload, lines
 
 
-def cmd_euler(args):
-    K = _read_document(args)
+def cmd_euler(K, args):
     chi = cubical.build(K).euler_characteristic()
-    payload = {**_echo(K), "euler": chi}
-    _emit(args, payload, [f"euler characteristic: {chi}"])
-    return 0
+    return True, {"euler": chi}, [f"euler characteristic: {chi}"]
 
 
-def cmd_check_splitting(args):
-    K = _read_document(args)
+def cmd_check_splitting(K, args):
     report = cubical.homology_splitting_check(K)
     rows = []
     lines = ["degree  cubical        subcomplex sum  match"]
@@ -203,14 +182,11 @@ def cmd_check_splitting(args):
                          for J, g in row.contributions]})
         lines.append(f"{row.degree:<7} {str(row.left):<14} "
                      f"{str(row.right):<15} {'yes' if row.equal else 'NO'}")
-    payload = {**_echo(K), "verdict": report.passed, "rows": rows}
     lines.append(f"splitting verdict: {str(report.passed).lower()}")
-    _emit(args, payload, lines)
-    return 0 if report.passed else 1
+    return report.passed, {"verdict": report.passed, "rows": rows}, lines
 
 
-def cmd_certify(args):
-    K = _read_document(args)
+def cmd_certify(K, args):
     cert = cubical.certify(K)
     count, kernel_ok, nontrivial_ok, basis_ok, verdict = cert
     lines = [f"generators: {count}",
@@ -219,25 +195,21 @@ def cmd_certify(args):
              f"{str(nontrivial_ok).lower()}",
              f"classes form a first-homology basis: {str(basis_ok).lower()}",
              f"certified: {str(verdict).lower()}"]
-    _emit(args, {**_echo(K), **cert._asdict()}, lines)
-    return 0 if verdict else 1
+    return verdict, cert._asdict(), lines
 
 
-def cmd_pi1(args):
-    K = _read_document(args)
+def cmd_pi1(K, args):
     pres = cubical.fundamental_group_presentation(cubical.build(K))
-    payload = {**_echo(K),
-               "generators": pres.generator_count,
+    payload = {"generators": pres.generator_count,
                "relators": pres.relator_count,
                "abelianized_rank": pres.abelianized_rank}
-    _emit(args, payload, [
+    return True, payload, [
         f"generators: {pres.generator_count}",
         f"relators: {pres.relator_count}",
-        f"abelianized rank: {pres.abelianized_rank}"])
-    return 0
+        f"abelianized rank: {pres.abelianized_rank}"]
 
 
-def cmd_selftest(args):
+def cmd_selftest(K, args):
     rng = random.Random(args.seed)
     trials = args.trials
     if trials < 0:
@@ -277,13 +249,12 @@ def cmd_selftest(args):
     payload = {"seed": args.seed, "trials": trials,
                "hall": hall_ok, "swap": swap_ok, "oracle": oracle_ok,
                "verdict": verdict}
-    _emit(args, payload, [
+    return verdict, payload, [
         f"seed: {args.seed}",
         f"hall identities: {hall_ok}/{trials}",
         f"swap identity: {swap_ok}/{trials}",
         f"normal form vs reflection oracle: {oracle_ok}/{trials}",
-        f"selftest: {'ok' if verdict else 'FAILED'}"])
-    return 0 if verdict else 1
+        f"selftest: {'ok' if verdict else 'FAILED'}"]
 
 
 def main(argv=None):
@@ -326,7 +297,17 @@ def main(argv=None):
 
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        K = _read_document(args.document) if "document" in args else None
+        verdict, payload, lines = args.func(K, args)
+        if args.json:
+            if K is not None:
+                payload = {"m": K.m, "maximal_faces": K.maximal_faces(),
+                           **payload}
+            print(json.dumps(payload, sort_keys=True))
+        else:
+            for line in lines:
+                print(line)
+        return 0 if verdict else 1
     except Exception as exc:
         # bad input raises ValueError; a broken chain complex is a bug
         if isinstance(exc, ValueError) and \

@@ -70,15 +70,13 @@ class CubeComplex:
                 level = []
                 for free in self.K.faces_of_size(k):
                     rest = full & ~free
-                    sub = rest
-                    signs_list = []
+                    # the subsets of rest in increasing order
+                    signs = 0
                     while True:
-                        signs_list.append(sub)
-                        if sub == 0:
-                            break
-                        sub = (sub - 1) & rest
-                    for signs in sorted(signs_list):
                         level.append((free, signs))
+                        if signs == rest:
+                            break
+                        signs = (signs - rest) & rest
                 cells.append(level)
             self._cells = cells
         return self._cells

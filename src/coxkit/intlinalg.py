@@ -74,10 +74,6 @@ class IntMatrix:
     def zero(cls, rows, cols):
         return cls(rows, cols)
 
-    @classmethod
-    def identity(cls, n):
-        return cls(n, n, (((i, i), 1) for i in range(n)))
-
     def entry(self, r, c):
         if not (0 <= r < self.rows and 0 <= c < self.cols):
             raise IndexError((r, c))

@@ -164,9 +164,6 @@ class SimplicialComplex:
         """Faces with exactly k vertices, as sorted masks."""
         return sorted(f for f in self.faces if f.bit_count() == k)
 
-    def face_count(self):
-        return len(self.faces)
-
     def maximal_faces(self):
         """Inclusion-maximal faces as sorted lists of external labels,
         ordered lexicographically.  Round-trips through

@@ -213,6 +213,39 @@ def test_certify_checks_size_cap_before_building_words(
     assert code == 2 and "too large" in err
 
 
+def test_gens_words_checks_size_cap_before_building_words(
+        tmp_path, capsys, monkeypatch):
+    def no_words(self, spec):
+        raise AssertionError("word built before the size cap was checked")
+    monkeypatch.setattr(CommutatorGenerator, "word", no_words)
+    path = write(tmp_path, json.dumps({"m": 11, "maximal_faces": []}))
+    for json_flag in ([], ["--json"]):
+        code, out, err = run(capsys, "gens", "--words", *json_flag, path)
+        assert code == 2 and out == "" and "too large" in err
+
+
+DOCUMENT_COMMANDS = (["flag"], ["chordal"], ["gens"], ["gens", "--words"],
+                     ["free"], ["homology"], ["euler"], ["check-splitting"],
+                     ["certify"], ["pi1"])
+
+
+def test_text_mode_never_builds_the_echo(tmp_path, capsys, monkeypatch):
+    paths = [write(tmp_path, PATH4_DOC, "path4.json"),
+             write(tmp_path, C4_DOC, "c4.json")]
+    expected = {(tuple(command), path): run(capsys, *command, path)[:2]
+                for command in DOCUMENT_COMMANDS for path in paths}
+
+    def no_echo(self):
+        raise RuntimeError("echo built")
+    monkeypatch.setattr(SimplicialComplex, "maximal_faces", no_echo)
+    for (command, path), (code, out) in expected.items():
+        assert run(capsys, *command, path)[:2] == (code, out)
+        code, out, err = run(capsys, *command, "--json", path)
+        assert code == 3 and out == ""
+        assert err.splitlines()[-1] == \
+            "internal error: RuntimeError('echo built')"
+
+
 def test_broken_chain_complex_is_an_internal_error(
         tmp_path, capsys, monkeypatch):
     not_a_complex = [IntMatrix.zero(0, 1), IntMatrix.from_dense([[1]]),

@@ -12,7 +12,7 @@ from helpers import (all_graphs, brute_missing_faces, has_chordless_cycle,
 
 def test_from_maximal_faces_worked_example():
     K = SimplicialComplex.from_maximal_faces(4, [[1, 2], [2, 3], [4]])
-    assert K.face_count() == 7
+    assert len(K.faces) == 7
     assert K.maximal_faces() == [[1, 2], [2, 3], [4]]
     # idempotent under re-listing non-maximal faces
     K2 = SimplicialComplex.from_maximal_faces(4, [[1, 2], [2], [2, 3], [4], [1]])
@@ -20,8 +20,8 @@ def test_from_maximal_faces_worked_example():
 
 
 def test_from_maximal_faces_simplex_and_minimal():
-    assert SimplicialComplex.simplex(3).face_count() == 8
-    assert SimplicialComplex.from_maximal_faces(2, []).face_count() == 3
+    assert len(SimplicialComplex.simplex(3).faces) == 8
+    assert len(SimplicialComplex.from_maximal_faces(2, []).faces) == 3
 
 
 def test_from_maximal_faces_validation():
@@ -39,7 +39,7 @@ def test_full_subcomplex():
     assert sub.connected_components() == [(1,), (3,)]
     assert C4.full_subcomplex([1, 2, 3, 4]) == C4
     empty = C4.full_subcomplex([])
-    assert empty.m == 0 and empty.face_count() == 1
+    assert empty.m == 0 and len(empty.faces) == 1
 
 
 def test_full_subcomplex_composes_by_intersection():
