@@ -8,8 +8,8 @@ either as strict JSON or with bare keys:
 Every command except ``selftest`` reads one document (file path argument,
 or standard input when the path is ``-``), prints a human-readable report
 by default or a JSON document with ``--json``, and exits 0 for
-success/true verdicts, 1 for false verdicts, 2 for malformed input and 3
-for an internal error.
+success/true verdicts, 1 for false verdicts, 2 for malformed input, 3
+for an internal error and 141 when the reader closes standard output.
 
 Each command is a function ``cmd_x(K, args) -> (verdict, payload, lines)``
 that does no I/O: ``K`` is the parsed complex (``None`` for ``selftest``),
@@ -22,6 +22,7 @@ so the text report never builds the echo.
 
 import argparse
 import json
+import os
 import random
 import re
 import sys
@@ -135,8 +136,7 @@ def cmd_gens(K, args):
         " ".join(f"{k}:{v}" for k, v in per_length) or "-")]
     out = map(json.dumps, payload["generators"])
     if args.words:
-        spec = commutators.coxeter_spec(K)
-        payload["words"] = [list(map(list, g.word(spec))) for g in gens]
+        payload["words"] = commutators.generator_words(K)
         out = map(" = ".join, zip(out, map(json.dumps, payload["words"])))
     return True, payload, chain(head, out)
 
@@ -307,7 +307,13 @@ def main(argv=None):
         else:
             for line in lines:
                 print(line)
+        sys.stdout.flush()          # a closed pipe raises here, not at exit
         return 0 if verdict else 1
+    except BrokenPipeError:
+        # the reader closed stdout: stop quietly, as SIGPIPE would, and point
+        # stdout at devnull so the interpreter's last flush has nowhere to fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except Exception as exc:
         # bad input raises ValueError; a broken chain complex is a bug
         if isinstance(exc, ValueError) and \

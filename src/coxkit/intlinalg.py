@@ -94,10 +94,6 @@ class IntMatrix:
     def is_zero(self):
         return not self._row
 
-    def transpose(self):
-        return IntMatrix(self.cols, self.rows,
-                         (((c, r), v) for (r, c), v in self.items()))
-
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ "

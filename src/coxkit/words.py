@@ -81,9 +81,6 @@ class GroupSpec:
         """All generators of infinite order (right-angled Artin group)."""
         return cls(graph, (None,) * graph.m)
 
-    def commutes(self, i, j):
-        return self.graph.has_edge(i, j)
-
     def check_vertex(self, v):
         if type(v) is int and 0 < v <= self.m:
             return

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import shutil
 import subprocess
@@ -9,7 +10,6 @@ import pytest
 
 from coxkit import commutators, cubical, simplicial
 from coxkit.cli import DocumentError, main, parse_document
-from coxkit.commutators import CommutatorGenerator
 from coxkit.intlinalg import IntMatrix
 from coxkit.simplicial import SimplicialComplex
 
@@ -198,6 +198,20 @@ def test_console_script_reads_stdin():
     assert result.stdout == again.stdout
 
 
+def test_closed_stdout_exits_141_quietly():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.Popen([sys.executable, "-m", "coxkit.cli", "gens", "-"],
+                            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=env)
+    proc.stdin.write(json.dumps({"m": 12}).encode())
+    proc.stdin.close()
+    assert proc.stdout.readline() == b"count: 20481\n"
+    proc.stdout.close()             # about 500 KB are still to come
+    err = proc.stderr.read()        # returns once the writer has exited
+    assert proc.wait(timeout=60) == 141 and err == b""
+
+
 def test_parse_document_rejects_boolean_vertices():
     with pytest.raises(DocumentError, match="vertex True"):
         parse_document('{"m":3,"maximal_faces":[[true,2]]}')
@@ -205,9 +219,9 @@ def test_parse_document_rejects_boolean_vertices():
 
 def test_certify_checks_size_cap_before_building_words(
         tmp_path, capsys, monkeypatch):
-    def no_words(self, spec):
+    def no_words(*args):
         raise AssertionError("word built before the size cap was checked")
-    monkeypatch.setattr(CommutatorGenerator, "word", no_words)
+    monkeypatch.setattr(commutators, "commutator", no_words)
     doc = json.dumps({"m": 11, "maximal_faces": []})
     code, _, err = run(capsys, "certify", write(tmp_path, doc))
     assert code == 2 and "too large" in err
@@ -215,9 +229,9 @@ def test_certify_checks_size_cap_before_building_words(
 
 def test_gens_words_checks_size_cap_before_building_words(
         tmp_path, capsys, monkeypatch):
-    def no_words(self, spec):
+    def no_words(*args):
         raise AssertionError("word built before the size cap was checked")
-    monkeypatch.setattr(CommutatorGenerator, "word", no_words)
+    monkeypatch.setattr(commutators, "commutator", no_words)
     path = write(tmp_path, json.dumps({"m": 11, "maximal_faces": []}))
     for json_flag in ([], ["--json"]):
         code, out, err = run(capsys, "gens", "--words", *json_flag, path)

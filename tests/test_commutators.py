@@ -11,7 +11,7 @@ from coxkit.commutators import (CommutatorGenerator, NotFlagError,
 from coxkit.simplicial import SimplicialComplex, reduced_homology
 from coxkit.words import (abelianization, geometric_representation,
                           is_identity_matrix)
-from helpers import random_complex
+from helpers import all_complexes, random_complex
 
 PATH4 = SimplicialComplex.from_maximal_faces(4, [[1, 2], [2, 3], [4]])
 
@@ -112,6 +112,22 @@ def test_generator_words_kernel_and_nontrivial():
             assert abelianization(word, spec) == zero
             assert not is_identity_matrix(
                 geometric_representation(word, spec))
+
+
+def test_generator_words_match_each_generators_own_word():
+    rng = random.Random(20261018)
+    complexes = [K for m in range(1, 5) for K in all_complexes(m)]
+    complexes += [random_complex(m, rng) for m in (6, 7, 8) for _ in range(3)]
+    complexes += [SimplicialComplex.points(9), SimplicialComplex.cycle(9)]
+    for K in complexes:
+        gens = enumerate_generators(K)
+        seen = set()
+        for g in gens:
+            # the inner commutator is itself a generator, enumerated earlier
+            assert not g.ks or (g.ks[1:], g.j, g.i) in seen
+            seen.add((g.ks, g.j, g.i))
+        spec = coxeter_spec(K)
+        assert generator_words(K) == [g.word(spec) for g in gens]
 
 
 def test_freeness_criterion():

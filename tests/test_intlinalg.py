@@ -198,7 +198,8 @@ def test_intmatrix_validation():
         IntMatrix.from_dense([[1, 2], [3]])
     M = IntMatrix.from_dense([[1, 2], [3, 4]])
     assert M.to_dense() == [[1, 2], [3, 4]]
-    assert M.transpose().to_dense() == [[1, 3], [2, 4]]
+    MT = IntMatrix(2, 2, (((c, r), v) for (r, c), v in M.items()))
+    assert MT.to_dense() == [[1, 3], [2, 4]]
     with pytest.raises(ValueError):
         IntMatrix.zero(2, 3) @ IntMatrix.zero(2, 3)
 
@@ -244,9 +245,10 @@ def test_row_format_agrees_with_dense_reference():
                                      for j in range(k) if a[i][j]]
         assert A.nnz() == sum(v != 0 for row in a for v in row)
         assert A.is_zero() == (A.nnz() == 0)
-        assert A.transpose().to_dense() == \
-            [[a[i][j] for i in range(r)] for j in range(k)]
-        assert A.transpose().transpose() == A
+        AT = IntMatrix(A.cols, A.rows,
+                       (((c, r), v) for (r, c), v in A.items()))
+        assert AT.to_dense() == [[a[i][j] for i in range(r)]
+                                 for j in range(k)]
         ab = _dense_product(a, b, c)
         assert (A @ _matrix(b, c)).to_dense() == ab
         assert A @ _matrix(b, c) == _matrix(ab, c)
@@ -430,7 +432,9 @@ def test_unit_pivot_ties_ignore_entry_order():
     mats.append(boundary_maps(levels, lambda e: [((e[1],), 1),
                                                  ((e[0],), -1)])[1])
     for M in mats:
-        for A in (M, M.transpose()):
+        MT = IntMatrix(M.cols, M.rows,
+                       (((c, r), v) for (r, c), v in M.items()))
+        for A in (M, MT):
             red = _Reduction(A)
             red.run()
             assert red.units == len(red.pivots)

@@ -271,7 +271,7 @@ def test_geometric_representation_matches_dense_letter_product():
             f = [[int(i == j) for j in range(m)] for i in range(m)]
             if e % 2:
                 f[v - 1] = [-1 if j == v - 1 else
-                            0 if spec.commutes(v, j + 1) else 2
+                            0 if spec.graph.has_edge(v, j + 1) else 2
                             for j in range(m)]
             factors.append(f)
         dense = _dense_product(factors, m)
@@ -354,7 +354,7 @@ def test_confluence_smoke():
             elif len(w) >= 2:
                 i = rng.randint(0, len(w) - 2)
                 (a, ea), (b, eb) = w[i], w[i + 1]
-                if a != b and spec.commutes(a, b):
+                if a != b and spec.graph.has_edge(a, b):
                     w[i], w[i + 1] = w[i + 1], w[i]
         return tuple(w)
 
@@ -385,7 +385,7 @@ def _merge_reduce(w, spec):
         for i in range(len(w)):
             for j in range(i + 1, len(w)):
                 if w[j][0] == w[i][0]:
-                    if all(spec.commutes(w[k][0], w[i][0])
+                    if all(spec.graph.has_edge(w[k][0], w[i][0])
                            for k in range(i + 1, j)):
                         o = spec.orders[w[i][0] - 1]
                         g = w[i][1] + w[j][1]
@@ -410,7 +410,7 @@ def _swap_closure(w, spec):
         x = stack.pop()
         for k in range(len(x) - 1):
             a, b = x[k], x[k + 1]
-            if a[0] != b[0] and spec.commutes(a[0], b[0]):
+            if a[0] != b[0] and spec.graph.has_edge(a[0], b[0]):
                 y = x[:k] + (b, a) + x[k + 2:]
                 if y not in seen:
                     seen.add(y)
@@ -456,7 +456,7 @@ def test_normal_form_output_is_reduced():
         for i in range(len(nf)):
             for j in range(i + 1, len(nf)):
                 if nf[i][0] == nf[j][0]:
-                    assert any(not spec.commutes(nf[k][0], nf[i][0])
+                    assert any(not spec.graph.has_edge(nf[k][0], nf[i][0])
                                for k in range(i + 1, j))
 
 
@@ -490,7 +490,7 @@ def test_long_cancelling_word(kind):
     for _ in range(4 * len(shuffled)):
         i = rng.randrange(len(shuffled) - 1)
         a, b = shuffled[i][0], shuffled[i + 1][0]
-        if a != b and spec.commutes(a, b):
+        if a != b and spec.graph.has_edge(a, b):
             shuffled[i], shuffled[i + 1] = shuffled[i + 1], shuffled[i]
     assert shuffled != half
     word = tuple(half) + _inv_letters(shuffled)
