@@ -18,7 +18,8 @@ from .simplicial import (Chordality, Graph, SimplicialComplex, clique_complex,
                          is_chordal, is_flag, reduced_homology)
 from .words import (CommutatorExpr, GroupSpec, abelianization, commutator,
                     evaluate, generator, geometric_representation, inverse,
-                    is_identity, is_identity_matrix, multiply, normal_form,
-                    random_word, verify_hall, verify_swap)
+                    is_identity, is_identity_chamber, is_identity_matrix,
+                    multiply, normal_form, random_word, verify_hall,
+                    verify_swap)
 
 __version__ = "0.1.0"

@@ -136,7 +136,7 @@ def cmd_gens(K, args):
         " ".join(f"{k}:{v}" for k, v in per_length) or "-")]
     out = map(json.dumps, payload["generators"])
     if args.words:
-        payload["words"] = commutators.generator_words(K)
+        payload["words"] = commutators.generator_words(K, gens)
         out = map(" = ".join, zip(out, map(json.dumps, payload["words"])))
     return True, payload, chain(head, out)
 

@@ -153,15 +153,16 @@ def coxeter_spec(K):
     return GroupSpec.coxeter(K.one_skeleton())
 
 
-def generator_words(K):
-    """Every generator expanded to its normalised Coxeter-group word, in
-    enumeration order.  Each word is nonempty and has zero abelianisation.
+def generator_words(K, gens):
+    """Each of ``gens = enumerate_generators(K)`` expanded to its
+    normalised Coxeter-group word, in that order.  Each word is nonempty
+    and has zero abelianisation.
     Each is one commutator with an earlier word: dropping k_1 from S keeps
     j = max S and only shrinks the component of i, so (ks[1:], j, i) is a
     generator too, on a smaller support and so enumerated earlier."""
     spec = coxeter_spec(K)
     words = {}
-    for g in enumerate_generators(K):
+    for g in gens:
         outer, inner = (g.ks[0], words[g.ks[1:], g.j, g.i]) if g.ks \
             else (g.j, generator(g.i))
         words[g.ks, g.j, g.i] = commutator(generator(outer), inner, spec)

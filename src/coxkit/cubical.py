@@ -20,9 +20,8 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 
 from . import words
-from .commutators import coxeter_spec, generator_count, generator_words
-# unused here, but the benchmark's spans wrap ``cubical.enumerate_generators``
-from .commutators import enumerate_generators  # noqa: F401
+from .commutators import (coxeter_spec, enumerate_generators,
+                          generator_count, generator_words)
 from .intlinalg import (HomologyGroup, IntMatrix, LeftReduction,
                         boundary_maps, chain_homology, direct_sum,
                         smith_normal_form)
@@ -248,6 +247,15 @@ class _LoopSystem:
                 "unexpected torsion in degree-1 homology of a cubical model")
         self.betti1 = self.rank_cycles - self.reduction.rank
 
+    def vector(self, steps):
+        """A closed edge path's signed traversal counts {non-tree edge: n}."""
+        vec = {}
+        for edge, direction in steps:
+            idx = self.nontree_index.get(edge)
+            if idx is not None:
+                vec[idx] = vec.get(idx, 0) + direction
+        return vec
+
 
 @dataclass
 class Pi1Presentation:
@@ -307,14 +315,9 @@ def word_to_loop(R, w, spec):
 def loop_class(R, steps):
     """First-homology coordinates of a closed edge path."""
     loops = R.loop_system()
-    vec = {}
-    for edge, direction in steps:
-        idx = loops.nontree_index.get(edge)
-        if idx is not None:
-            vec[idx] = vec.get(idx, 0) + direction
     # every factor is 1 (checked by the loop system), so no torsion part
     # is left
-    return loops.reduction.cokernel_class(vec)[1]
+    return loops.reduction.cokernel_class(loops.vector(steps))[1]
 
 
 def word_class(R, w, spec):
@@ -326,12 +329,16 @@ def _is_homology_basis(K, spec, gen_words):
     loops = R.loop_system()
     if len(gen_words) != loops.betti1:
         return False
-    entries = {}
+    # row r is word_class of word r, kept sparse: U @ vector past the rank
+    # (every factor is 1, so the torsion part is empty)
+    rank = loops.reduction.rank
+    rows = {}
     for r, w in enumerate(gen_words):
-        for c, v in enumerate(word_class(R, w, spec)):
-            if v:
-                entries[r, c] = v
-    mat = IntMatrix(len(gen_words), loops.betti1, entries)
+        y = loops.reduction.apply(loops.vector(word_to_loop(R, w, spec)))
+        row = {k - rank: v for k, v in y.items() if k >= rank}
+        if row:
+            rows[r] = row
+    mat = IntMatrix._from_rows(len(gen_words), loops.betti1, rows)
     factors = smith_normal_form(mat)
     return factors == [1] * len(gen_words)
 
@@ -346,7 +353,8 @@ def basis_certificate(K):
     agreement between the count and the first Betti number.
     """
     _check_size(K, "the basis certificate")
-    return _is_homology_basis(K, coxeter_spec(K), generator_words(K))
+    return _is_homology_basis(K, coxeter_spec(K),
+                              generator_words(K, enumerate_generators(K)))
 
 
 Certificate = namedtuple("Certificate",
@@ -356,16 +364,17 @@ Certificate = namedtuple("Certificate",
 def certify(K):
     """Check the commutator generators of ``K`` (m <= 10), expanding each
     to its word once: every word has zero abelianization (``kernel``), none
-    is trivial by normal form or by the reflection oracle (``nontrivial``),
-    and the loop classes form a first-homology basis (``basis``, which
-    needs closed loops, so it fails whenever ``kernel`` does)."""
+    is trivial by normal form or by the chamber test of the reflection
+    representation (``nontrivial``), and the loop classes form a
+    first-homology basis (``basis``, which needs closed loops, so it fails
+    whenever ``kernel`` does)."""
     _check_size(K, "the certificate")
     spec = coxeter_spec(K)
-    gen_words = generator_words(K)
+    gen_words = generator_words(K, enumerate_generators(K))
     zero = (0,) * K.m
     kernel = all(words.abelianization(w, spec) == zero for w in gen_words)
-    nontrivial = all(w and not words.is_identity_matrix(
-        words.geometric_representation(w, spec)) for w in gen_words)
+    nontrivial = all(w and not words.is_identity_chamber(w, spec)
+                     for w in gen_words)
     basis = kernel and _is_homology_basis(K, spec, gen_words)
     return Certificate(len(gen_words), kernel, nontrivial, basis,
                        kernel and nontrivial and basis)

@@ -389,19 +389,20 @@ class LeftReduction:
                 self._u_cols.setdefault(k, []).append((i, w))
 
     def apply(self, vec):
-        """U @ vec for a sparse vector given as {index: value}."""
-        out = [0] * len(self._u_rows)
+        """U @ vec, both sparse as {index: value}, zeros dropped."""
+        out = {}
         for k, v in vec.items():
             for i, w in self._u_cols.get(k, ()):
-                out[i] += w * v
-        return out
+                out[i] = out.get(i, 0) + w * v
+        return {i: y for i, y in out.items() if y}
 
     def cokernel_class(self, vec):
         """Coordinates of ``vec`` in the cokernel: torsion components
         reduced mod their factor, then the free components."""
         y = self.apply(vec)
-        tors = tuple(y[k] % self.factors[k] for k in range(self.rank))
-        return tors, tuple(y[self.rank:])
+        tors = tuple(y.get(k, 0) % d for k, d in enumerate(self.factors))
+        return tors, tuple(y.get(k, 0)
+                           for k in range(self.rank, len(self._u_rows)))
 
 
 # ---------------------------------------------------------------------------

@@ -33,9 +33,13 @@ an adjacent swappable pair.  The extraction above looks past such pairs
 because a letter is free once everything before it commutes with it, not
 only its neighbour.
 
-For the all-orders-2 case, :func:`geometric_representation` provides an
-independent exact-integer check of the word problem through the standard
-faithful reflection representation.
+For the all-orders-2 case, :func:`is_identity_chamber` is an independent
+exact-integer check of the word problem: by Tits' lemma a nontrivial
+element moves every point of the fundamental chamber of the dual
+reflection representation, so one integer vector per word decides it.
+:func:`geometric_representation` builds the full reflection matrix
+instead; it is the chamber test's own oracle in the tests and the
+selftest's.
 """
 
 from heapq import heapify, heappop, heappush
@@ -385,6 +389,12 @@ def geometric_representation(w, spec):
     i, to 2 (sum of the |nc| rows not commuting with i) - row i, by m |nc|
     additions in C (``sum``) and one m-entry comprehension.  It reads the
     graph, not ``spec.noncommuting``, to share no code with normal_form.
+
+    :func:`is_identity_chamber` decides the same question from one vector
+    in O(|nc|) per letter, and ``certify`` uses it.  The matrix stays as
+    the oracle of the selftest and of the tests, the chamber test's among
+    them: it follows the whole action, not one point of it, and shares no
+    code with the chamber test.
     """
     if not spec.is_coxeter():
         raise ValueError("the reflection representation needs every "
@@ -406,6 +416,38 @@ def geometric_representation(w, spec):
     # a product of reflections is invertible, so no row is empty
     return IntMatrix._from_rows(m, m, dict(enumerate(
         {c: x for c, x in enumerate(row) if x} for row in rows)))
+
+
+def is_identity_chamber(w, spec):
+    """Whether ``w`` is the identity, by Tits' lemma (Humphreys, *Reflection
+    Groups and Coxeter Groups*, 1990, 5.13).
+
+    W acts on the dual of the reflection representation, where g_i sends
+    the coordinates c_j = f(a_j) of a functional f to c_j - B(i, j) c_i:
+    c_i changes sign and 2 c_i is added to c_k for each k not commuting
+    with i.  No element but 1 maps a point of the open chamber {all c_j >
+    0} into the chamber, so w = 1 exactly when it fixes c = (1, ..., 1).
+    The letters act first to last, which applies w^-1; w^-1 = 1 exactly
+    when w = 1.  Like :func:`geometric_representation` it reads the graph,
+    not ``spec.noncommuting``.
+    """
+    if not spec.is_coxeter():
+        raise ValueError("the chamber test needs every generator to have "
+                         "order 2")
+    m = spec.m
+    noncomm = [[k for k in range(m) if k != i and not a >> k & 1]
+               for i, a in enumerate(spec.graph.adj)]
+    c = [1] * m
+    for v, e in w:
+        spec.check_letter(v, e)
+        if e % 2:
+            i = v - 1
+            x = c[i]
+            c[i] = -x
+            x += x
+            for k in noncomm[i]:
+                c[k] += x
+    return c == [1] * m
 
 
 def is_identity_matrix(mat):

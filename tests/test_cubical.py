@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from coxkit import intlinalg
-from coxkit.commutators import coxeter_spec, generator_count
+from coxkit import cubical, intlinalg
+from coxkit.commutators import (coxeter_spec, enumerate_generators,
+                                generator_count, generator_words)
 from coxkit.cubical import (CubeComplex, basis_certificate, build,
                             euler_characteristic,
                             fundamental_group_presentation, homology,
@@ -12,7 +13,7 @@ from coxkit.cubical import (CubeComplex, basis_certificate, build,
                             word_to_loop)
 from coxkit.intlinalg import IntMatrix, chain_homology, smith_normal_form
 from coxkit.simplicial import SimplicialComplex, clique_complex
-from coxkit.words import GroupSpec, commutator, generator
+from coxkit.words import GroupSpec, commutator, generator, multiply
 from helpers import all_complexes, random_complex, random_graph
 
 C4 = SimplicialComplex.cycle(4)
@@ -307,6 +308,46 @@ def test_basis_certificate_examples():
 def test_basis_certificate_exhaustive_m4():
     for K in all_complexes(4):
         assert basis_certificate(K), K
+
+
+def test_basis_matrix_rows_are_the_word_classes(monkeypatch):
+    # the basis check fills its rows sparsely; the reference stacks the
+    # public word_class tuples
+    built = []
+
+    def recording(mat):
+        built.append(mat)
+        return smith_normal_form(mat)
+
+    monkeypatch.setattr(cubical, "smith_normal_form", recording)
+    rng = random.Random(20261020)
+    complexes = [K for m in range(1, 5) for K in all_complexes(m)]
+    complexes += [random_complex(m, rng) for m in (6, 7, 8) for _ in range(3)]
+    complexes += [SimplicialComplex.points(8), SimplicialComplex.cycle(8)]
+    for K in complexes:
+        spec = coxeter_spec(K)
+        gen_words = generator_words(K, enumerate_generators(K))
+        assert cubical._is_homology_basis(K, spec, gen_words)
+        R = build(K)
+        assert built.pop() == IntMatrix.from_dense(
+            [list(word_class(R, w, spec)) for w in gen_words])
+
+
+def test_basis_check_rejects_a_repeated_or_squared_generator():
+    rng = random.Random(20261021)
+    complexes = [PATH4, C4, SimplicialComplex.points(4)]
+    complexes += [random_complex(m, rng) for m in (5, 6) for _ in range(3)]
+    complexes = [K for K in complexes if generator_count(K) >= 2]
+    assert len(complexes) >= 6
+    for K in complexes:
+        spec = coxeter_spec(K)
+        gen_words = generator_words(K, enumerate_generators(K))
+        n = len(gen_words)
+        for r in range(n):
+            for w in (gen_words[(r + 1) % n],
+                      multiply(gen_words[r], gen_words[r], spec)):
+                changed = gen_words[:r] + [w] + gen_words[r + 1:]
+                assert not cubical._is_homology_basis(K, spec, changed)
 
 
 def test_wedge_signature():

@@ -8,8 +8,9 @@ from coxkit.simplicial import Graph, SimplicialComplex
 from coxkit.words import (CommutatorExpr, GroupSpec, abelianization,
                           commutator, evaluate, generator,
                           geometric_representation, inverse, is_identity,
-                          is_identity_matrix, multiply, normal_form,
-                          random_word, verify_hall, verify_swap)
+                          is_identity_chamber, is_identity_matrix, multiply,
+                          normal_form, random_word, verify_hall, verify_swap)
+from helpers import random_graph
 
 FREE2 = GroupSpec.coxeter(Graph(2, []))
 EDGE2 = GroupSpec.coxeter(Graph(2, [(1, 2)]))
@@ -243,6 +244,46 @@ def test_geometric_representation_basics():
         geometric_representation(((2, 1), (1, 1), (2, 1), (1, 1)), EDGE2))
     with pytest.raises(ValueError):
         geometric_representation((), GroupSpec.artin(Graph(2, [])))
+    with pytest.raises(ValueError):
+        is_identity_chamber((), GroupSpec.artin(Graph(2, [])))
+
+
+def _commuting_shuffle(w, spec, rng):
+    """``w`` after random swaps of adjacent letters that commute: the same
+    group element, spelt differently."""
+    w = list(w)
+    for _ in range(2 * (len(w) - 1)):       # none below two letters
+        k = rng.randrange(len(w) - 1)
+        a, b = w[k][0], w[k + 1][0]
+        if a != b and spec.graph.has_edge(a, b):
+            w[k], w[k + 1] = w[k + 1], w[k]
+    return tuple(w)
+
+
+def test_chamber_test_agrees_with_reflection_matrix():
+    # half the words are random; the other half are w w^-1, or a shuffle of
+    # commuting letters of w w^-1 or of w g w^-1, so that identities and
+    # their nearest non-identities are both common
+    rng = random.Random(20261019)
+    specs = [GroupSpec.coxeter(random_graph(m, rng, p))
+             for m in range(1, 11) for p in (0.2, 0.5, 0.8) for _ in range(4)]
+    seen = {True: 0, False: 0}
+    for t in range(20000):
+        spec = rng.choice(specs)
+        m = spec.m
+        w = tuple((rng.randint(1, m), rng.choice((1, -1, 2, 3)))
+                  for _ in range(rng.randint(0, 12 if t % 2 else 24)))
+        if t % 2:
+            inv = tuple((v, -e) for v, e in reversed(w))
+            if t % 4 == 3:
+                core = w + ((rng.randint(1, m), 1),) if t % 8 == 7 else w
+                w = _commuting_shuffle(core + inv, spec, rng)
+            else:
+                w += inv
+        trivial = is_identity_matrix(geometric_representation(w, spec))
+        assert is_identity_chamber(w, spec) == trivial, (w, spec.graph.adj)
+        seen[trivial] += 1
+    assert seen[True] >= 5000 and seen[False] >= 5000, seen
 
 
 def _dense_product(factors, m):
@@ -298,6 +339,7 @@ def test_letter_checks_at_every_entry_point():
         "abelianization": lambda w: abelianization(w, spec),
         "geometric_representation":
             lambda w: geometric_representation(w, spec).to_dense(),
+        "is_identity_chamber": lambda w: is_identity_chamber(w, spec),
         "word_to_loop": lambda w: word_to_loop(R, w, spec),
     }
     bad_vertices = (True, 0, 4, 1.0, "1")
