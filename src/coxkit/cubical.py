@@ -46,6 +46,9 @@ class CubeComplex:
     signs), and the boundary of a cell with free set {i_1 < ... < i_k} is
     the alternating sum over t of (cell with i_t pinned to +1) minus (cell
     with i_t pinned to -1), with sign (-1)^(t-1).
+
+    The boundaries are built on one int key per cell, ``free << m |
+    signs``, in the same order, so homology never builds the pairs.
     """
 
     def __init__(self, K):
@@ -62,30 +65,53 @@ class CubeComplex:
         self._homology = None
         self._loops = None
 
+    def _keys(self):
+        """The cells of each dimension as int keys ``free << m | signs``,
+        in the order of :attr:`cells`."""
+        m = self.m
+        full = (1 << m) - 1
+        levels = []
+        for k in range(self.dim + 1):
+            level = []
+            for free in self.K.faces_of_size(k):
+                rest = full & ~free
+                # the subsets of rest in increasing order
+                signs = 0
+                while True:
+                    level.append(free << m | signs)
+                    if signs == rest:
+                        break
+                    signs = (signs - rest) & rest
+            levels.append(level)
+        return levels
+
+    def _key_faces(self, key):
+        """:func:`_cube_faces` on an int key: pinning free coordinate i
+        clears bit i of ``free`` and, for +1, sets bit i of ``signs``."""
+        m = self.m
+        out = []
+        free = key >> m
+        sign = 1
+        while free:
+            low = free & -free
+            free -= low
+            face = key - (low << m)
+            out += ((face + low, sign), (face, -sign))
+            sign = -sign
+        return out
+
     @property
     def cells(self):
         if self._cells is None:
-            full = (1 << self.m) - 1
-            cells = []
-            for k in range(self.dim + 1):
-                level = []
-                for free in self.K.faces_of_size(k):
-                    rest = full & ~free
-                    # the subsets of rest in increasing order
-                    signs = 0
-                    while True:
-                        level.append((free, signs))
-                        if signs == rest:
-                            break
-                        signs = (signs - rest) & rest
-                cells.append(level)
-            self._cells = cells
+            n = 1 << self.m
+            self._cells = [[divmod(key, n) for key in level]
+                           for level in self._keys()]
         return self._cells
 
     @property
     def boundaries(self):
         if self._boundaries is None:
-            self._boundaries = boundary_maps(self.cells, _cube_faces)
+            self._boundaries = boundary_maps(self._keys(), self._key_faces)
         return self._boundaries
 
     def cell_counts(self):

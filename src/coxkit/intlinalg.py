@@ -79,10 +79,6 @@ class IntMatrix:
             raise IndexError((r, c))
         return self._row.get(r, {}).get(c, 0)
 
-    def to_dense(self):
-        return [[self._row.get(r, {}).get(c, 0) for c in range(self.cols)]
-                for r in range(self.rows)]
-
     def items(self):
         """Iterate over ``((row, col), value)`` for the nonzero entries."""
         return (((r, c), v) for r, row in self._row.items()
@@ -197,19 +193,24 @@ class _Reduction:
     leaves ``row`` and its pivot column is then empty, so every stored
     entry is still to be reduced.
 
-    All the work is done by :meth:`pivot`, with row operations on the
-    matrix and no column operations.  Once the pivot column is clear, a
-    column operation ``col[c2] -= q * col[c]`` changes the pivot row and
-    no other, so it is done in place on that row, and dropping the row
-    stands for the column operations that would clear the rest of it.
+    Elimination uses row operations on the matrix and no column
+    operations.  Once the pivot column is clear, a column operation
+    ``col[c2] -= q * col[c]`` changes the pivot row and no other, so it is
+    done in place on that row, and dropping the row stands for the column
+    operations that would clear the rest of it.
 
     :meth:`run` first takes ``units`` unit pivots: the column with the
     fewest nonzeros, and in it the shortest row holding +-1, the lowest
     index on a tie, whatever the entry order.  In boundary matrices almost
     every pivot is a unit, and this order barely fills them in (Dumas,
     Heckenbach, Saunders and Welker, "Computing simplicial homology based
-    on efficient Smith normal form algorithms", 2003).  What is left holds
-    no unit; there the entry of least absolute value goes next.
+    on efficient Smith normal form algorithms", 2003).  A unit pivot
+    (r, c) is taken inline: ``-row[r2][c] * row[r][c]`` times row r is
+    added to each other row r2 of column c, which clears it with no
+    remainder (a column of length one needs no row operation), and the
+    pass that drops row r re-queues its other columns.  What is left holds
+    no unit; there :meth:`pivot` takes the entry of least absolute value
+    next, with Euclidean steps.
 
     When ``track_left`` is set, every row operation is mirrored on an
     accumulated unimodular transform ``left``.
@@ -272,8 +273,7 @@ class _Reduction:
             d = row[r][c]
             rows = colrows[c]
             while len(rows) > 1:                            # step 1
-                # a unit leaves no remainder, so its walk order is moot
-                for r2 in (list(rows) if abs(d) == 1 else sorted(rows)):
+                for r2 in sorted(rows):
                     if r2 != r:
                         v = row[r2][c]
                         q = v // d
@@ -314,13 +314,18 @@ class _Reduction:
     def run(self):
         """Full reduction; afterwards ``pivots`` holds the invariant factors
         in divisibility order."""
-        row, colrows = self.row, self.colrows
-        # a heap keyed on column length; an entry whose length is stale is
-        # skipped, as the column was pushed again when it changed
-        heap = [(len(rows), c) for c, rows in colrows.items()]
+        row, colrows, left = self.row, self.colrows, self.left
+        # a heap of columns keyed on (length, index), packed into one int;
+        # an entry whose length is stale is skipped, as the column was
+        # pushed again when it changed, and an empty column never returns
+        shift = max(colrows, default=0).bit_length()
+        mask = (1 << shift) - 1
+        heap = [len(rows) << shift | c for c, rows in colrows.items()]
         heapq.heapify(heap)
+        heappush, heappop = heapq.heappush, heapq.heappop
         while heap:
-            n, c = heapq.heappop(heap)
+            key = heappop(heap)
+            n, c = key >> shift, key & mask
             rows = colrows[c]
             if n != len(rows):
                 continue
@@ -330,10 +335,46 @@ class _Reduction:
                 if (v == 1 or v == -1) and (p is None
                                             or (len(row[r]), r) < best):
                     p, best = r, (len(row[r]), r)
-            if p is not None:
-                for c2 in self.pivot(p, c):
-                    if c2 != c:
-                        heapq.heappush(heap, (len(colrows[c2]), c2))
+            if p is None:
+                continue
+            prow = row.pop(p)
+            d = prow[c]
+            lp = left[p] if left is not None else None
+            if n > 1:
+                rows.discard(p)
+                for r2 in list(rows):
+                    # row[r2] -= (row[r2][c] / d) * prow, as add_row does
+                    drow = row[r2]
+                    mult = -d * drow[c]
+                    for c2, v in prow.items():
+                        w = drow.get(c2)
+                        if w is None:
+                            drow[c2] = mult * v
+                            colrows[c2].add(r2)
+                        else:
+                            w += mult * v
+                            if w:
+                                drow[c2] = w
+                            else:
+                                del drow[c2]
+                                colrows[c2].discard(r2)
+                    if lp is not None:
+                        ldst = left[r2]
+                        for k, v in lp.items():
+                            w = ldst.get(k, 0) + mult * v
+                            if w:
+                                ldst[k] = w
+                            else:
+                                del ldst[k]
+            for c2 in prow:
+                rows2 = colrows[c2]
+                rows2.discard(p)
+                if rows2:
+                    heappush(heap, len(rows2) << shift | c2)
+            if d < 0 and lp is not None:
+                for k in lp:
+                    lp[k] = -lp[k]
+            self.pivots.append((p, c, 1))
         self.units = len(self.pivots)
         while True:
             least = min(((abs(v), r, c) for r, entries in row.items()
@@ -420,11 +461,15 @@ def boundary_maps(levels, faces):
     each with a nonzero integer sign.  The rows are filled directly."""
     boundaries = [IntMatrix._from_rows(0, len(levels[0]), {})]
     for k in range(1, len(levels)):
-        below = {cell: i for i, cell in enumerate(levels[k - 1])}
+        below = dict(zip(levels[k - 1], range(len(levels[k - 1]))))
         rows = {}
         for col, cell in enumerate(levels[k]):
             for face, sign in faces(cell):
-                rows.setdefault(below[face], {})[col] = sign
+                r = below[face]
+                if r in rows:
+                    rows[r][col] = sign
+                else:
+                    rows[r] = {col: sign}
         boundaries.append(IntMatrix._from_rows(
             len(levels[k - 1]), len(levels[k]), rows))
     return boundaries

@@ -55,6 +55,11 @@ def random_graph(m, rng, p=0.5):
     return Graph(m, edges)
 
 
+def dense(M):
+    """The IntMatrix ``M`` as a list of rows, zeros included."""
+    return [[M.entry(r, c) for c in range(M.cols)] for r in range(M.rows)]
+
+
 # -- brute-force oracles ------------------------------------------------------
 
 def minor_gcd_invariant_factors(dense):

@@ -55,6 +55,25 @@ def test_boundary_squares_to_zero():
             assert (R.boundaries[k - 1] @ R.boundaries[k]).is_zero()
 
 
+def test_int_keyed_builder_matches_the_tuple_faces():
+    # cells as (free, signs) pairs, listed by (free, signs) in each degree
+    rng = random.Random(53)
+    Ks = [K for m in range(1, 5) for K in all_complexes(m)]
+    Ks += [random_complex(m, rng) for m in (6, 7, 8) for _ in range(2)]
+    Ks += [SimplicialComplex.cycle(9), SimplicialComplex.simplex(6),
+           SimplicialComplex.points(5)]
+    for K in Ks:
+        R = build(K)
+        R.homology()
+        assert R._cells is None         # homology builds no pairs
+        want = [sorted((f, s) for f in K.faces if f.bit_count() == k
+                       for s in range(1 << K.m) if not s & f)
+                for k in range(K.dim() + 2)]
+        assert R.cells == want
+        assert R.boundaries == intlinalg.boundary_maps(R.cells,
+                                                       cubical._cube_faces)
+
+
 def test_build_rejects_large_m():
     with pytest.raises(ValueError):
         build(SimplicialComplex.points(13))

@@ -4,10 +4,12 @@ import time
 
 import pytest
 
+from coxkit.cubical import build
 from coxkit.intlinalg import (ChainComplexError, HomologyGroup, IntMatrix,
                               LeftReduction, _Reduction, boundary_maps,
                               chain_homology, direct_sum, smith_normal_form)
-from helpers import minor_gcd_invariant_factors
+from coxkit.simplicial import _simplex_faces
+from helpers import dense, minor_gcd_invariant_factors, random_complex
 
 
 def test_snf_examples():
@@ -147,14 +149,14 @@ def test_pivot_routine_on_large_scrambled_diagonals():
     rng = random.Random(40)
     for _ in range(30):
         r, c = rng.randint(20, 40), rng.randint(20, 40)
-        dense, factors = _scrambled_diagonal(rng, r, c)
-        M = IntMatrix.from_dense(dense)
+        entries, factors = _scrambled_diagonal(rng, r, c)
+        M = IntMatrix.from_dense(entries)
         assert smith_normal_form(M) == factors
         red = LeftReduction(M)
         assert red.factors == factors and red.rank == len(factors)
         U = [[urow.get(k, 0) for k in range(r)] for urow in red._u_rows]
         assert _bareiss_det(U) in (1, -1)
-        UM = (IntMatrix.from_dense(U) @ M).to_dense()
+        UM = dense(IntMatrix.from_dense(U) @ M)
         assert not any(any(row) for row in UM[red.rank:])
         # U M = D V^-1 and a row of a unimodular matrix has content 1
         for k, d in enumerate(factors):
@@ -197,9 +199,9 @@ def test_intmatrix_validation():
     with pytest.raises(ValueError):
         IntMatrix.from_dense([[1, 2], [3]])
     M = IntMatrix.from_dense([[1, 2], [3, 4]])
-    assert M.to_dense() == [[1, 2], [3, 4]]
+    assert dense(M) == [[1, 2], [3, 4]]
     MT = IntMatrix(2, 2, (((c, r), v) for (r, c), v in M.items()))
-    assert MT.to_dense() == [[1, 3], [2, 4]]
+    assert dense(MT) == [[1, 3], [2, 4]]
     with pytest.raises(ValueError):
         IntMatrix.zero(2, 3) @ IntMatrix.zero(2, 3)
 
@@ -240,17 +242,17 @@ def test_row_format_agrees_with_dense_reference():
         A = _matrix(a, k)
         if r and k:
             assert A == IntMatrix.from_dense(a)
-        assert A.to_dense() == a
+        assert dense(A) == a
         assert sorted(A.items()) == [((i, j), a[i][j]) for i in range(r)
                                      for j in range(k) if a[i][j]]
         assert A.nnz() == sum(v != 0 for row in a for v in row)
         assert A.is_zero() == (A.nnz() == 0)
         AT = IntMatrix(A.cols, A.rows,
                        (((c, r), v) for (r, c), v in A.items()))
-        assert AT.to_dense() == [[a[i][j] for i in range(r)]
-                                 for j in range(k)]
+        assert dense(AT) == [[a[i][j] for i in range(r)]
+                             for j in range(k)]
         ab = _dense_product(a, b, c)
-        assert (A @ _matrix(b, c)).to_dense() == ab
+        assert dense(A @ _matrix(b, c)) == ab
         assert A @ _matrix(b, c) == _matrix(ab, c)
 
 
@@ -281,18 +283,18 @@ def test_reduction_leaves_its_input_unchanged():
     rng = random.Random(63)
     for _ in range(200):
         r, c = rng.randint(1, 8), rng.randint(1, 8)
-        dense = [[rng.choice([0, 0, 1, -1, 2, 3]) * rng.choice([1, 2])
-                  for _ in range(c)] for _ in range(r)]
-        M = _matrix(dense, c)
-        copy = IntMatrix.from_dense(dense)
+        entries = [[rng.choice([0, 0, 1, -1, 2, 3]) * rng.choice([1, 2])
+                    for _ in range(c)] for _ in range(r)]
+        M = _matrix(entries, c)
+        copy = IntMatrix.from_dense(entries)
         smith_normal_form(M)
         assert M == copy
         LeftReduction(M)
-        assert M == copy and M.to_dense() == dense
+        assert M == copy and dense(M) == entries
     # boundary matrices are filled as rows and reduced without change
     levels = [[(0,), (1,), (2,)], [(0, 1), (0, 2), (1, 2)]]
     ds = boundary_maps(levels, lambda e: [((e[1],), 1), ((e[0],), -1)])
-    copies = [_matrix(d.to_dense(), d.cols) for d in ds]
+    copies = [_matrix(dense(d), d.cols) for d in ds]
     assert chain_homology(ds) == [HomologyGroup(1), HomologyGroup(1)]
     assert ds == copies and ds[1].nnz() == 6
 
@@ -467,6 +469,91 @@ def test_euclidean_pivot_ties_ignore_entry_order():
         red.run()
         assert red.units == 0 and red.pivots
         assert LeftReduction(A)._u_rows == LeftReduction(B)._u_rows
+
+
+def _add_multiple(dst, src, mult):
+    for k, v in src.items():
+        dst[k] = dst.get(k, 0) + mult * v
+        if not dst[k]:
+            del dst[k]
+
+
+def _unit_phase_reference(M, track_left):
+    """The unit phase by brute force: among the columns holding +-1 the one
+    with the fewest nonzeros, then the lowest index; in it the unit row
+    with the fewest entries, then the lowest index.  Returns the pivots,
+    the rows left and the left transform (None unless tracked)."""
+    row = {}
+    for (r, c), v in M.items():
+        row.setdefault(r, {})[c] = v
+    left = ({r: {r: 1} for r in range(M.rows)} if track_left else None)
+    pivots = []
+    while True:
+        cols = {}
+        for r, entries in row.items():
+            for c in entries:
+                cols.setdefault(c, []).append(r)
+        units = [c for c, rs in cols.items()
+                 if any(abs(row[r][c]) == 1 for r in rs)]
+        if not units:
+            return pivots, row, left
+        c = min(units, key=lambda c: (len(cols[c]), c))
+        p = min((r for r in cols[c] if abs(row[r][c]) == 1),
+                key=lambda r: (len(row[r]), r))
+        d = row[p][c]
+        for r in cols[c]:
+            if r != p:
+                f = row[r][c] * d
+                _add_multiple(row[r], row[p], -f)
+                if left is not None:
+                    _add_multiple(left[r], left[p], -f)
+        if d < 0 and left is not None:
+            left[p] = {k: -v for k, v in left[p].items()}
+        del row[p]
+        pivots.append((p, c, 1))
+
+
+class _UnitPhaseDone(Exception):
+    pass
+
+
+def _stop_at_the_euclidean_phase(r, c):
+    raise _UnitPhaseDone
+
+
+def test_unit_phase_order_matches_a_brute_force_reference():
+    # the unit phase is the reference's order exactly, so U is pinned, and
+    # no column holding a unit leaves the queue for the Euclidean phase
+    rng = random.Random(65)
+    mats = []
+    for m in (3, 4, 5, 6):
+        for _ in range(3):
+            K = random_complex(m, rng)
+            mats += build(K).boundaries[1:]
+            levels = [K.faces_of_size(k) for k in range(K.dim() + 2)]
+            mats += boundary_maps(levels, _simplex_faces)[1:]
+    for _ in range(120):
+        rows, cols = rng.randint(1, 14), rng.randint(1, 14)
+        mats.append(IntMatrix(rows, cols, [
+            ((r, c), rng.choice([0, 0, 0, 1, -1, 2, -2, 3]))
+            for r in range(rows) for c in range(cols)]))
+    euclidean = 0
+    for M in mats:
+        for track in (False, True):
+            want, rest, left = _unit_phase_reference(M, track)
+            red = _Reduction(M, track_left=track)
+            red.run()
+            assert red.pivots[:red.units] == want and red.units == len(want)
+            euclidean += red.units < len(red.pivots)
+            red = _Reduction(M, track_left=track)
+            red.pivot = _stop_at_the_euclidean_phase
+            try:
+                red.run()
+            except _UnitPhaseDone:
+                pass
+            assert red.pivots == want and red.row == rest and red.left == left
+    # some matrices go on to the Euclidean phase, so the stub is reached
+    assert euclidean >= 20
 
 
 def _unimodular_pair(rng, n):

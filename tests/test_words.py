@@ -10,7 +10,7 @@ from coxkit.words import (CommutatorExpr, GroupSpec, abelianization,
                           geometric_representation, inverse, is_identity,
                           is_identity_chamber, is_identity_matrix, multiply,
                           normal_form, random_word, verify_hall, verify_swap)
-from helpers import random_graph
+from helpers import dense, random_graph
 
 FREE2 = GroupSpec.coxeter(Graph(2, []))
 EDGE2 = GroupSpec.coxeter(Graph(2, [(1, 2)]))
@@ -315,9 +315,10 @@ def test_geometric_representation_matches_dense_letter_product():
                             0 if spec.graph.has_edge(v, j + 1) else 2
                             for j in range(m)]
             factors.append(f)
-        dense = _dense_product(factors, m)
-        assert geometric_representation(w, spec).to_dense() == dense
-        widest = max([widest] + [abs(x).bit_length() for r in dense for x in r])
+        product = _dense_product(factors, m)
+        assert dense(geometric_representation(w, spec)) == product
+        widest = max([widest] + [abs(x).bit_length() for r in product
+                                 for x in r])
     assert widest > 64             # entries beyond machine words are covered
 
 
@@ -338,7 +339,7 @@ def test_letter_checks_at_every_entry_point():
         "commutator": lambda w: commutator(w, generator(1), spec),
         "abelianization": lambda w: abelianization(w, spec),
         "geometric_representation":
-            lambda w: geometric_representation(w, spec).to_dense(),
+            lambda w: dense(geometric_representation(w, spec)),
         "is_identity_chamber": lambda w: is_identity_chamber(w, spec),
         "word_to_loop": lambda w: word_to_loop(R, w, spec),
     }
