@@ -47,8 +47,8 @@ class CubeComplex:
     the alternating sum over t of (cell with i_t pinned to +1) minus (cell
     with i_t pinned to -1), with sign (-1)^(t-1).
 
-    The boundaries are built on one int key per cell, ``free << m |
-    signs``, in the same order, so homology never builds the pairs.
+    The boundaries and the loop system are built on one int key per cell,
+    ``free << m | signs``, in the same order, so neither builds the pairs.
     """
 
     def __init__(self, K):
@@ -86,8 +86,10 @@ class CubeComplex:
         return levels
 
     def _key_faces(self, key):
-        """:func:`_cube_faces` on an int key: pinning free coordinate i
-        clears bit i of ``free`` and, for +1, sets bit i of ``signs``."""
+        """The (face key, sign) pairs of a cell's boundary, in the class
+        docstring's order, two per free coordinate from the lowest up:
+        pinning coordinate i clears bit i of ``free`` and, for +1, sets
+        bit i of ``signs``."""
         m = self.m
         out = []
         free = key >> m
@@ -139,16 +141,6 @@ class CubeComplex:
         if self._loops is None:
             self._loops = _LoopSystem(self)
         return self._loops
-
-
-def _cube_faces(cell):
-    free, signs = cell
-    sign = 1
-    for i in _bits(free):
-        smaller = free & ~(1 << i)
-        yield (smaller, signs | (1 << i)), sign
-        yield (smaller, signs), -sign
-        sign = -sign
 
 
 def build(K):
@@ -231,42 +223,50 @@ class _LoopSystem:
     trying axes in increasing order, grows.  Cycle-space coordinates of a
     loop are its signed traversal counts on non-tree edges; first-homology
     coordinates follow by reducing modulo the image of the 2-cell
-    boundaries via a Smith left transform.  ``relator_words`` holds each
-    square's boundary walk as signed 1-based non-tree edge ids.
+    boundaries via a Smith left transform.
+
+    Edges and squares are read as the cube model's int keys, ``free << m
+    | signs``, and a square's faces come from ``R._key_faces``.
+    ``nontree`` lists the non-tree edges as (axis, signs) pairs,
+    ``nontree_index`` maps each one's int key to its position there, and
+    ``relator_words`` holds each square's boundary walk as signed 1-based
+    non-tree edge ids.
     """
 
     def __init__(self, R):
-        full = (1 << R.m) - 1
-        edge_cells = R.cells[1] if len(R.cells) > 1 else []
+        m = R.m
+        full = (1 << m) - 1
+        keys = R._keys()
         self.nontree = []
         self.nontree_index = {}
-        for free, signs in edge_cells:
-            axis = free.bit_length() - 1
+        for key in (keys[1] if len(keys) > 1 else ()):
+            axis = (key >> m).bit_length() - 1
+            signs = key & full
             if signs >> (axis + 1) != full >> (axis + 1):
-                self.nontree_index[axis, signs] = len(self.nontree)
+                self.nontree_index[key] = len(self.nontree)
                 self.nontree.append((axis, signs))
         self.rank_cycles = len(self.nontree)    # = E - V + 1
         # each square's boundary on the non-tree edges, once as a relator
         # word and once as a column of the relator matrix
-        two_cells = R.cells[2] if len(R.cells) > 2 else []
+        squares = keys[2] if len(keys) > 2 else []
         rows = {}
         self.relator_words = []
-        for c, cell in enumerate(two_cells):
-            faces = list(_cube_faces(cell))
+        for c, key in enumerate(squares):
+            faces = R._key_faces(key)
             # for a square on axes i < j the faces come as: j at i=+1 (+),
             # j at i=-1 (-), i at j=+1 (-), i at j=-1 (+); the walk from the
             # (-,-) corner takes them in the order 3, 0, 2, 1, each along
             # its sign
             word = []
             for k in (3, 0, 2, 1):
-                (free, signs), sign = faces[k]
-                idx = self.nontree_index.get((free.bit_length() - 1, signs))
+                face, sign = faces[k]
+                idx = self.nontree_index.get(face)
                 if idx is not None:
                     rows.setdefault(idx, {})[c] = sign
                     word.append(sign * (idx + 1))
             self.relator_words.append(tuple(word))
         self.relators = IntMatrix._from_rows(self.rank_cycles,
-                                             len(two_cells), rows)
+                                             len(squares), rows)
         self.reduction = LeftReduction(self.relators)
         if any(d > 1 for d in self.reduction.factors):
             raise AssertionError(
@@ -274,7 +274,8 @@ class _LoopSystem:
         self.betti1 = self.rank_cycles - self.reduction.rank
 
     def vector(self, steps):
-        """A closed edge path's signed traversal counts {non-tree edge: n}."""
+        """A closed edge path's signed traversal counts {non-tree edge: n},
+        from the (edge key, direction) steps of :func:`word_to_loop`."""
         vec = {}
         for edge, direction in steps:
             idx = self.nontree_index.get(edge)
@@ -315,15 +316,17 @@ def word_to_loop(R, w, spec):
     Requires every generator order to be 2 and the exponent sum of ``w``
     to vanish mod 2 in each coordinate, that is, the walk ends at its
     starting corner (otherwise the path does not close).  Letters traverse
-    the axis edge at the current corner; the result is a list of ((axis,
-    signs), direction) steps with direction +1 when walking from the -1
-    endpoint to the +1 endpoint.
+    the axis edge at the current corner; the result is a list of (edge
+    key, direction) steps, the key ``free << m | signs`` of
+    :class:`CubeComplex` with ``free`` the axis bit, and direction +1 when
+    walking from the -1 endpoint to the +1 endpoint.
     """
     if spec.m != R.m:
         raise ValueError("word group and cubical model have different ranks")
     if not spec.is_coxeter():
         raise ValueError("edge paths need every generator of order 2")
-    start = pos = (1 << R.m) - 1
+    m = R.m
+    start = pos = (1 << m) - 1
     steps = []
     for v, e in w:
         spec.check_letter(v, e)
@@ -331,7 +334,7 @@ def word_to_loop(R, w, spec):
             continue
         bit = 1 << (v - 1)
         direction = -1 if pos & bit else 1
-        steps.append((((v - 1), pos & ~bit), direction))
+        steps.append((bit << m | pos & ~bit, direction))
         pos ^= bit
     if pos != start:
         raise ValueError("word does not close up: nonzero exponent sum")

@@ -205,14 +205,16 @@ class _Reduction:
     every pivot is a unit, and this order barely fills them in (Dumas,
     Heckenbach, Saunders and Welker, "Computing simplicial homology based
     on efficient Smith normal form algorithms", 2003).  A unit pivot
-    (r, c) is taken inline: ``-row[r2][c] * row[r][c]`` times row r is
-    added to each other row r2 of column c, which clears it with no
-    remainder (a column of length one needs no row operation), and the
-    pass that drops row r re-queues its other columns.  What is left holds
-    no unit; there :meth:`pivot` takes the entry of least absolute value
-    next, with Euclidean steps.
+    (r, c) is taken in :meth:`run` itself, not through :meth:`pivot`: one
+    :meth:`add_rows` call adds ``-row[r2][c] * row[r][c]`` times row r to
+    each other row r2 of column c, which clears it with no remainder (a
+    column of length one needs no row operation), and the pass that drops
+    row r re-queues its other columns.  What is left holds no unit; there
+    :meth:`pivot` takes the entry of least absolute value next, with
+    Euclidean steps.
 
-    When ``track_left`` is set, every row operation is mirrored on an
+    :meth:`add_rows` is the one row operation of both phases.  When
+    ``track_left`` is set, it mirrors every row operation on an
     accumulated unimodular transform ``left``.
     """
 
@@ -226,32 +228,35 @@ class _Reduction:
                      if track_left else None)
         self.pivots = []            # (row, col, divisor) in elimination order
 
-    def add_row(self, src, dst, mult):
-        """row[dst] += mult * row[src]; no row of ``row`` holds an entry
-        in a pivoted column, so this cannot disturb finished pivots."""
-        drow = self.row[dst]
-        colrows = self.colrows
-        for c, v in self.row[src].items():
-            w = drow.get(c)
-            if w is None:
-                drow[c] = mult * v
-                colrows[c].add(dst)
-            else:
-                w += mult * v
-                if w:
-                    drow[c] = w
+    def add_rows(self, src, targets):
+        """row[r2] += mult * row[src] for each (r2, mult) in ``targets``,
+        mirrored on ``left`` when it is tracked; no row of ``row`` holds an
+        entry in a pivoted column, so this cannot disturb finished pivots."""
+        row, colrows, left = self.row, self.colrows, self.left
+        srow = row[src]
+        lsrc = left[src] if left is not None else None
+        for r2, mult in targets:
+            drow = row[r2]
+            for c, v in srow.items():
+                w = drow.get(c)
+                if w is None:
+                    drow[c] = mult * v
+                    colrows[c].add(r2)
                 else:
-                    del drow[c]
-                    colrows[c].discard(dst)
-        if self.left is not None:
-            lsrc = self.left[src]
-            ldst = self.left[dst]
-            for k, v in lsrc.items():
-                w = ldst.get(k, 0) + mult * v
-                if w:
-                    ldst[k] = w
-                else:
-                    del ldst[k]
+                    w += mult * v
+                    if w:
+                        drow[c] = w
+                    else:
+                        del drow[c]
+                        colrows[c].discard(r2)
+            if lsrc is not None:
+                ldst = left[r2]
+                for k, v in lsrc.items():
+                    w = ldst.get(k, 0) + mult * v
+                    if w:
+                        ldst[k] = w
+                    else:
+                        del ldst[k]
 
     def pivot(self, r, c):
         """Eliminate with pivot (r, c), which may move on the way, and drop
@@ -278,7 +283,7 @@ class _Reduction:
                         v = row[r2][c]
                         q = v // d
                         if q:
-                            self.add_row(r, r2, -q)
+                            self.add_rows(r, [(r2, -q)])
                         if v != q * d:
                             r, d = r2, v - q * d
                             break
@@ -300,7 +305,7 @@ class _Reduction:
                        if any(v % d for v in entries.values())), default=None)
             if bad is None:
                 break
-            self.add_row(bad, r, 1)
+            self.add_rows(bad, [(r, 1)])
         dropped = row.pop(r)
         for c2 in dropped:
             colrows[c2].discard(r)
@@ -337,41 +342,18 @@ class _Reduction:
                     p, best = r, (len(row[r]), r)
             if p is None:
                 continue
-            prow = row.pop(p)
-            d = prow[c]
-            lp = left[p] if left is not None else None
+            d = row[p][c]
             if n > 1:
                 rows.discard(p)
-                for r2 in list(rows):
-                    # row[r2] -= (row[r2][c] / d) * prow, as add_row does
-                    drow = row[r2]
-                    mult = -d * drow[c]
-                    for c2, v in prow.items():
-                        w = drow.get(c2)
-                        if w is None:
-                            drow[c2] = mult * v
-                            colrows[c2].add(r2)
-                        else:
-                            w += mult * v
-                            if w:
-                                drow[c2] = w
-                            else:
-                                del drow[c2]
-                                colrows[c2].discard(r2)
-                    if lp is not None:
-                        ldst = left[r2]
-                        for k, v in lp.items():
-                            w = ldst.get(k, 0) + mult * v
-                            if w:
-                                ldst[k] = w
-                            else:
-                                del ldst[k]
+                self.add_rows(p, [(r2, -d * row[r2][c]) for r2 in rows])
+            prow = row.pop(p)
             for c2 in prow:
                 rows2 = colrows[c2]
                 rows2.discard(p)
                 if rows2:
                     heappush(heap, len(rows2) << shift | c2)
-            if d < 0 and lp is not None:
+            if d < 0 and left is not None:
+                lp = left[p]
                 for k in lp:
                     lp[k] = -lp[k]
             self.pivots.append((p, c, 1))

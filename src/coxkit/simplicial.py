@@ -230,14 +230,6 @@ class SimplicialComplex:
         return SimplicialComplex(sub_m, faces,
                                  tuple(self.labels[p] for p in positions))
 
-    def connected_components(self):
-        """Components of the 1-skeleton, as tuples of external labels,
-        ordered by their smallest vertex."""
-        comps = [tuple(sorted(self.labels[i] for i in _bits(comp)))
-                 for comp in _components_masks(self, (1 << self.m) - 1)]
-        comps.sort(key=lambda c: c[0])
-        return comps
-
 
 def _components_masks(K, sub_mask):
     """Connected components of the 1-skeleton restricted to ``sub_mask``,

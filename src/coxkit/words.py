@@ -299,9 +299,6 @@ class CommutatorExpr:
                            for side in (expr.left, expr.right)))
         return value
 
-    def to_nested(self):
-        return self._fold(lambda v: v, lambda a, b: [a, b])
-
     def __repr__(self):
         return self._fold(lambda v: f"g{v}", lambda a, b: f"({a}, {b})")
 

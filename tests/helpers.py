@@ -4,7 +4,8 @@ and independent brute-force oracles."""
 import itertools
 from math import gcd
 
-from coxkit.simplicial import Graph, SimplicialComplex
+from coxkit.simplicial import (Graph, SimplicialComplex, _bits,
+                               _components_masks)
 
 
 def all_complexes(m):
@@ -53,6 +54,42 @@ def random_graph(m, rng, p=0.5):
     edges = [c for c in itertools.combinations(range(1, m + 1), 2)
              if rng.random() < p]
     return Graph(m, edges)
+
+
+def components(K):
+    """Components of the 1-skeleton of K, as tuples of external labels,
+    each sorted, ordered by their smallest label."""
+    comps = [tuple(sorted(K.labels[i] for i in _bits(mask)))
+             for mask in _components_masks(K, (1 << K.m) - 1)]
+    return sorted(comps, key=lambda c: c[0])
+
+
+def to_nested(expr):
+    """The nested-array form of a CommutatorExpr, e.g. [2, [3, 1]] for
+    (g_2, (g_3, g_1)).  At most one child of each node is a commutator,
+    so the tree is one path: walk down it, then build from the bottom."""
+    path = []
+    while not isinstance(expr, int):
+        path.append(expr)
+        expr = expr.right if isinstance(expr.left, int) else expr.left
+    for node in reversed(path):
+        expr = [node.left, expr] if isinstance(node.left, int) \
+            else [expr, node.right]
+    return expr
+
+
+def cube_faces(cell):
+    """The boundary of a cube-model cell ``(free, signs)`` as ((free,
+    signs), sign) pairs: for the t-th free coordinate i, from the lowest,
+    the face with i pinned to +1 with sign (-1)^(t-1), then the face with
+    i pinned to -1 with the opposite sign."""
+    free, signs = cell
+    sign = 1
+    for i in _bits(free):
+        smaller = free & ~(1 << i)
+        yield (smaller, signs | (1 << i)), sign
+        yield (smaller, signs), -sign
+        sign = -sign
 
 
 def dense(M):

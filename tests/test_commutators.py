@@ -11,7 +11,7 @@ from coxkit.commutators import (CommutatorGenerator, NotFlagError,
 from coxkit.simplicial import SimplicialComplex, reduced_homology
 from coxkit.words import (abelianization, geometric_representation,
                           is_identity_matrix)
-from helpers import all_complexes, random_complex
+from helpers import all_complexes, components, random_complex
 
 PATH4 = SimplicialComplex.from_maximal_faces(4, [[1, 2], [2, 3], [4]])
 
@@ -80,7 +80,7 @@ def test_generator_structure_and_ordering():
         assert list(g.ks) == sorted(g.ks)
         # i is the smallest vertex of its component avoiding j
         sub = PATH4.full_subcomplex(list(g.support))
-        comp = next(c for c in sub.connected_components() if g.i in c)
+        comp = next(c for c in components(sub) if g.i in c)
         assert g.j not in comp and min(comp) == g.i
 
 

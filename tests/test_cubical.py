@@ -14,7 +14,7 @@ from coxkit.cubical import (CubeComplex, basis_certificate, build,
 from coxkit.intlinalg import IntMatrix, chain_homology, smith_normal_form
 from coxkit.simplicial import SimplicialComplex, clique_complex
 from coxkit.words import GroupSpec, commutator, generator, multiply
-from helpers import all_complexes, random_complex, random_graph
+from helpers import all_complexes, cube_faces, random_complex, random_graph
 
 C4 = SimplicialComplex.cycle(4)
 PATH4 = SimplicialComplex.from_maximal_faces(4, [[1, 2], [2, 3], [4]])
@@ -70,8 +70,7 @@ def test_int_keyed_builder_matches_the_tuple_faces():
                        for s in range(1 << K.m) if not s & f)
                 for k in range(K.dim() + 2)]
         assert R.cells == want
-        assert R.boundaries == intlinalg.boundary_maps(R.cells,
-                                                       cubical._cube_faces)
+        assert R.boundaries == intlinalg.boundary_maps(R.cells, cube_faces)
 
 
 def test_build_rejects_large_m():
@@ -218,8 +217,9 @@ def test_pi1_relators_are_corner_walks():
             i, j = [a for a in range(K.m) if free >> a & 1]
             walk = [(i, signs, 1), (j, signs | 1 << i, 1),
                     (i, signs | 1 << j, -1), (j, signs, -1)]
-            want.append(tuple(d * (index[a, s] + 1) for a, s, d in walk
-                              if (a, s) in index))
+            keys = [(1 << a << K.m | s, d) for a, s, d in walk]
+            want.append(tuple(d * (index[key] + 1) for key, d in keys
+                              if key in index))
         assert fundamental_group_presentation(R).relators == want
 
 
@@ -259,18 +259,49 @@ def test_loop_system_builds_relators_without_boundaries():
         R = build(K)
         loops = R.loop_system()
         assert R._boundaries is None
-        edges = R.cells[1]
+        edges = R._keys()[1]
         d2 = (R.boundaries[2] if len(R.boundaries) > 2
               else IntMatrix.zero(len(edges), 0))
         want = {}
         for (r, c), v in d2.items():
-            free, signs = edges[r]
-            idx = loops.nontree_index.get((free.bit_length() - 1, signs))
+            idx = loops.nontree_index.get(edges[r])
             if idx is not None:
                 want[idx, c] = v
         assert loops.relators == IntMatrix(loops.rank_cycles, d2.cols, want)
         relator_nnz.append(loops.relators.nnz())
     assert relator_nnz[0] > 0 and relator_nnz[1] == 0 and relator_nnz[2] > 0
+
+
+def test_loop_system_reads_int_keys(monkeypatch):
+    # the loop system and the certificate read edges and squares as int
+    # keys and never build the (free, signs) pairs
+    built = []
+    cells = CubeComplex.cells
+    monkeypatch.setattr(CubeComplex, "cells", property(
+        lambda R: built.append(R) or cells.fget(R)))
+    rng = random.Random(20261018)
+    complexes = [K for m in range(1, 5) for K in all_complexes(m)]
+    complexes += [random_complex(m, rng) for m in (6, 7, 8) for _ in range(3)]
+    for K in complexes:
+        R = build(K)
+        loops = R.loop_system()
+        assert R._cells is None
+        assert cubical.certify(K).verdict
+        assert built == []
+        m = K.m
+        edges = R._keys()[1]
+        tree = _bfs_tree(m)
+        want = [key for key in edges
+                if ((key >> m).bit_length() - 1, key & (1 << m) - 1)
+                not in tree]
+        assert loops.nontree_index == {key: i for i, key in enumerate(want)}
+        assert [1 << a << m | s for a, s in loops.nontree] == want
+        spec = coxeter_spec(K)
+        edge_set = set(edges)
+        for w in generator_words(K, enumerate_generators(K)):
+            steps = word_to_loop(R, w, spec)
+            assert steps
+            assert all(key in edge_set and d in (1, -1) for key, d in steps)
 
 
 def test_word_loops_on_torus():
@@ -384,6 +415,42 @@ def test_wedge_signature():
         else:
             non_seen += 1
             assert not wedge_of_circles_signature(K)
+
+
+def test_no_caller_reaches_the_euclidean_phase(monkeypatch):
+    # A measurement on this corpus, not a theorem: every pivot of the
+    # relator matrix's LeftReduction, of certify's basis-matrix Smith call
+    # and of each homology degree's Smith call is a unit.  A complex whose
+    # reduction needs a Euclidean step would change the recorded count.
+    runs = []
+    run = intlinalg._Reduction.run
+
+    def recording(red):
+        run(red)
+        runs.append((red.left is not None, red.units < len(red.pivots)))
+
+    monkeypatch.setattr(intlinalg._Reduction, "run", recording)
+    rng = random.Random(20261018)
+    complexes = [K for m in range(1, 5) for K in all_complexes(m)]
+    complexes += [random_complex(m, rng) for m in range(5, 9)
+                  for _ in range(25)]
+    complexes += [SimplicialComplex.points(m) for m in range(2, 10)]
+    complexes += [SimplicialComplex.cycle(m) for m in range(4, 10)]
+    complexes += [SimplicialComplex.simplex(m) for m in range(2, 10)]
+    assert len(complexes) == 248
+    relator, basis, degrees = [], [], []
+    for K in complexes:
+        assert cubical.certify(K).verdict
+        assert [left for left, _ in runs] == [True, False]
+        relator.append(runs[0][1])
+        basis.append(runs[1][1])
+        del runs[:]
+        CubeComplex(K).homology()
+        assert [left for left, _ in runs] == [False] * (K.dim() + 2)
+        degrees += [euclidean for _, euclidean in runs]
+        del runs[:]
+    assert (len(relator), len(basis), len(degrees)) == (248, 248, 976)
+    assert (sum(relator), sum(basis), sum(degrees)) == (0, 0, 0)
 
 
 def test_chain_homology_clears_rows_of_unit_pivot_columns(monkeypatch):

@@ -6,8 +6,8 @@ import pytest
 from coxkit.simplicial import (Graph, SimplicialComplex,
                                _reduced_homology_key, clique_complex,
                                is_chordal, is_flag, reduced_homology)
-from helpers import (all_graphs, brute_missing_faces, has_chordless_cycle,
-                     random_complex, random_graph)
+from helpers import (all_graphs, brute_missing_faces, components,
+                     has_chordless_cycle, random_complex, random_graph)
 
 
 def test_from_maximal_faces_worked_example():
@@ -36,7 +36,7 @@ def test_from_maximal_faces_validation():
 def test_full_subcomplex():
     C4 = SimplicialComplex.cycle(4)
     sub = C4.full_subcomplex([1, 3])
-    assert sub.connected_components() == [(1,), (3,)]
+    assert components(sub) == [(1,), (3,)]
     assert C4.full_subcomplex([1, 2, 3, 4]) == C4
     empty = C4.full_subcomplex([])
     assert empty.m == 0 and len(empty.faces) == 1
@@ -104,12 +104,12 @@ def test_clique_complex_examples():
 
 def test_connected_components():
     K = SimplicialComplex.points(5)
-    assert K.connected_components() == [(1,), (2,), (3,), (4,), (5,)]
+    assert components(K) == [(1,), (2,), (3,), (4,), (5,)]
     C4 = SimplicialComplex.cycle(4)
-    assert C4.connected_components() == [(1, 2, 3, 4)]
+    assert components(C4) == [(1, 2, 3, 4)]
     # components list their labels sorted and come ordered by smallest label
     K = clique_complex(Graph(4, [(1, 2), (3, 4)], labels=(9, 5, 7, 1)))
-    assert K.connected_components() == [(1, 7), (5, 9)]
+    assert components(K) == [(1, 7), (5, 9)]
 
 
 def test_components_match_reduced_h0():
@@ -123,7 +123,7 @@ def test_components_match_reduced_h0():
                 continue
             sub = K.full_subcomplex(J)
             assert reduced_homology(sub)[1].betti == \
-                len(sub.connected_components()) - 1
+                len(components(sub)) - 1
 
 
 def test_is_chordal_examples():

@@ -10,7 +10,7 @@ from coxkit.words import (CommutatorExpr, GroupSpec, abelianization,
                           geometric_representation, inverse, is_identity,
                           is_identity_chamber, is_identity_matrix, multiply,
                           normal_form, random_word, verify_hall, verify_swap)
-from helpers import dense, random_graph
+from helpers import dense, random_graph, to_nested
 
 FREE2 = GroupSpec.coxeter(Graph(2, []))
 EDGE2 = GroupSpec.coxeter(Graph(2, [(1, 2)]))
@@ -147,7 +147,7 @@ def test_commutator_expr():
     expr = CommutatorExpr.from_nested([2, [3, 1]])
     inner = commutator(generator(3), generator(1), FREE3)
     assert evaluate(expr, FREE3) == commutator(generator(2), inner, FREE3)
-    assert expr.to_nested() == [2, [3, 1]]
+    assert to_nested(expr) == [2, [3, 1]]
     with pytest.raises(ValueError):
         CommutatorExpr(CommutatorExpr(1, 2), CommutatorExpr(3, 1))
     with pytest.raises(ValueError):
@@ -190,7 +190,7 @@ def test_commutator_expr_matches_recursive_evaluation():
         for _ in range(6):
             nested = _nested_path(depth, rng)
             expr = CommutatorExpr.from_nested(nested)
-            assert expr.to_nested() == nested
+            assert to_nested(expr) == nested
             assert evaluate(expr, FREE3) == reference(nested)
 
 
@@ -198,7 +198,7 @@ def test_commutator_expr_3000_deep():
     abelian = GroupSpec.coxeter(Graph(3, [(1, 2), (1, 3), (2, 3)]))
     nested = _nested_path(3000, random.Random(4))
     expr = CommutatorExpr.from_nested(nested)
-    assert _spine(expr.to_nested()) == _spine(nested)
+    assert _spine(to_nested(expr)) == _spine(nested)
     text = repr(expr)
     assert text.count("g") == 3001 and text.count("(") == 3000
     assert evaluate(expr, abelian) == ()
