@@ -18,7 +18,6 @@ commutator subgroup form a basis (see :func:`coxkit.cubical
 """
 
 from dataclasses import dataclass
-from math import comb
 
 from .simplicial import _bits, _components_masks, is_chordal, is_flag
 # ``evaluate`` stays a name of this module: the benchmark's spans wrap it here
@@ -41,7 +40,7 @@ class CommutatorGenerator:
 
     ``ks`` is strictly increasing, below ``j``, and avoids ``i``; ``i < j``.
     ``i`` is the smallest vertex of a component not containing ``j`` of the
-    restriction of the complex to ``support``.
+    restriction of the complex to its support, the vertices i, j and ks.
     """
 
     ks: tuple
@@ -57,10 +56,6 @@ class CommutatorGenerator:
             raise ValueError("ks must stay below j")
         if self.i in self.ks:
             raise ValueError("i may not appear among the ks")
-
-    @property
-    def support(self):
-        return tuple(sorted(self.ks + (self.j, self.i)))
 
     @property
     def length(self):
@@ -139,13 +134,6 @@ def per_length_counts(K):
     for gen in enumerate_generators(K):
         counts[gen.length] = counts.get(gen.length, 0) + 1
     return counts
-
-
-def free_product_counts(m):
-    """Per-length counts for m disjoint points in closed form:
-    (l - 1) * C(m, l) generators of length l."""
-    return {ell: (ell - 1) * comb(m, ell) for ell in range(2, m + 1)
-            if (ell - 1) * comb(m, ell)}
 
 
 def coxeter_spec(K):

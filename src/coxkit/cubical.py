@@ -20,6 +20,8 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 
 from . import words
+# ``generator_count`` stays a name of this module, though nothing here calls
+# it: the benchmark's spans wrap it here
 from .commutators import (coxeter_spec, enumerate_generators,
                           generator_count, generator_words)
 from .intlinalg import (HomologyGroup, IntMatrix, LeftReduction,
@@ -65,25 +67,22 @@ class CubeComplex:
         self._homology = None
         self._loops = None
 
-    def _keys(self):
-        """The cells of each dimension as int keys ``free << m | signs``,
-        in the order of :attr:`cells`."""
+    def _keys(self, k):
+        """The k-cells as int keys ``free << m | signs``, in the order of
+        :attr:`cells`."""
         m = self.m
         full = (1 << m) - 1
-        levels = []
-        for k in range(self.dim + 1):
-            level = []
-            for free in self.K.faces_of_size(k):
-                rest = full & ~free
-                # the subsets of rest in increasing order
-                signs = 0
-                while True:
-                    level.append(free << m | signs)
-                    if signs == rest:
-                        break
-                    signs = (signs - rest) & rest
-            levels.append(level)
-        return levels
+        level = []
+        for free in self.K.faces_of_size(k):
+            rest = full & ~free
+            # the subsets of rest in increasing order
+            signs = 0
+            while True:
+                level.append(free << m | signs)
+                if signs == rest:
+                    break
+                signs = (signs - rest) & rest
+        return level
 
     def _key_faces(self, key):
         """The (face key, sign) pairs of a cell's boundary, in the class
@@ -106,14 +105,15 @@ class CubeComplex:
     def cells(self):
         if self._cells is None:
             n = 1 << self.m
-            self._cells = [[divmod(key, n) for key in level]
-                           for level in self._keys()]
+            self._cells = [[divmod(key, n) for key in self._keys(k)]
+                           for k in range(self.dim + 1)]
         return self._cells
 
     @property
     def boundaries(self):
         if self._boundaries is None:
-            self._boundaries = boundary_maps(self._keys(), self._key_faces)
+            self._boundaries = boundary_maps(
+                [self._keys(k) for k in range(self.dim + 1)], self._key_faces)
         return self._boundaries
 
     def cell_counts(self):
@@ -146,10 +146,6 @@ class CubeComplex:
 def build(K):
     """The cubical model of ``K`` (vertex count capped at 12)."""
     return CubeComplex(K)
-
-
-def euler_characteristic(R):
-    return R.euler_characteristic()
 
 
 def homology(R):
@@ -236,10 +232,9 @@ class _LoopSystem:
     def __init__(self, R):
         m = R.m
         full = (1 << m) - 1
-        keys = R._keys()
         self.nontree = []
         self.nontree_index = {}
-        for key in (keys[1] if len(keys) > 1 else ()):
+        for key in R._keys(1):
             axis = (key >> m).bit_length() - 1
             signs = key & full
             if signs >> (axis + 1) != full >> (axis + 1):
@@ -248,7 +243,7 @@ class _LoopSystem:
         self.rank_cycles = len(self.nontree)    # = E - V + 1
         # each square's boundary on the non-tree edges, once as a relator
         # word and once as a column of the relator matrix
-        squares = keys[2] if len(keys) > 2 else []
+        squares = R._keys(2)
         rows = {}
         self.relator_words = []
         for c, key in enumerate(squares):
@@ -341,16 +336,13 @@ def word_to_loop(R, w, spec):
     return steps
 
 
-def loop_class(R, steps):
-    """First-homology coordinates of a closed edge path."""
+def word_class(R, w, spec):
+    """First-homology coordinates of the closed edge path of ``w``."""
     loops = R.loop_system()
     # every factor is 1 (checked by the loop system), so no torsion part
     # is left
-    return loops.reduction.cokernel_class(loops.vector(steps))[1]
-
-
-def word_class(R, w, spec):
-    return loop_class(R, word_to_loop(R, w, spec))
+    return loops.reduction.cokernel_class(
+        loops.vector(word_to_loop(R, w, spec)))[1]
 
 
 def _is_homology_basis(K, spec, gen_words):
@@ -408,15 +400,3 @@ def certify(K):
     return Certificate(len(gen_words), kernel, nontrivial, basis,
                        kernel and nontrivial and basis)
 
-
-def wedge_of_circles_signature(K):
-    """(homology vanishes above degree 1, no torsion anywhere,
-    betti_1 == generator count == 1 - Euler characteristic)."""
-    R = CubeComplex(K)
-    hom = R.homology()
-    count = generator_count(K)
-    higher_trivial = all(h.is_trivial() for h in hom[2:])
-    torsion_free = all(not h.torsion for h in hom)
-    b1 = hom[1].betti if len(hom) > 1 else 0
-    return (higher_trivial and torsion_free and b1 == count
-            and count == 1 - R.euler_characteristic())

@@ -28,8 +28,8 @@ class IntMatrix:
     behaves like a dense ``rows x cols`` array of integers.
 
     >>> M = IntMatrix.from_dense([[2, 0], [0, 3]])
-    >>> M.entry(1, 1)
-    3
+    >>> sorted(M.items())
+    [((0, 0), 2), ((1, 1), 3)]
     >>> smith_normal_form(M)
     [1, 6]
     """
@@ -69,15 +69,6 @@ class IntMatrix:
         return cls(rows, cols, (((r, c), v) for r, row in enumerate(dense_rows)
                                 for c, v in enumerate(row)
                                 if v or type(v) is not int))
-
-    @classmethod
-    def zero(cls, rows, cols):
-        return cls(rows, cols)
-
-    def entry(self, r, c):
-        if not (0 <= r < self.rows and 0 <= c < self.cols):
-            raise IndexError((r, c))
-        return self._row.get(r, {}).get(c, 0)
 
     def items(self):
         """Iterate over ``((row, col), value)`` for the nonzero entries."""

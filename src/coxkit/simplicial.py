@@ -1,9 +1,7 @@
 """Simplicial complexes on a small vertex set, stored as bitmask face sets.
 
 Vertices are numbered 1..m externally and 0..m-1 internally (bit i of a face
-mask is vertex i+1).  A complex produced by restriction to a subset keeps the
-original vertex names in ``labels``, so components, orderings and witnesses
-are always reported in the caller's numbering.
+mask is vertex i+1).
 
 The vertex count is capped at 24 so faces fit comfortably in machine-word
 bitmasks and loops over all 2^m vertex subsets stay feasible.
@@ -44,9 +42,9 @@ def _check_vertex_count(m, low):
 class Graph:
     """Simple undirected graph on vertices 1..m (no loops, no multi-edges)."""
 
-    __slots__ = ("m", "adj", "labels")
+    __slots__ = ("m", "adj")
 
-    def __init__(self, m, edges=(), labels=None):
+    def __init__(self, m, edges=()):
         _check_vertex_count(m, 0)
         adj = [0] * m
         for e in edges:
@@ -62,28 +60,22 @@ class Graph:
             adj[b - 1] |= 1 << (a - 1)
         self.m = m
         self.adj = tuple(adj)
-        self.labels = tuple(labels) if labels is not None \
-            else tuple(range(1, m + 1))
 
     def edges(self):
-        """Sorted list of edges (a, b) with a < b, in internal numbering."""
+        """Sorted list of edges (a, b) with a < b."""
         out = []
         for i in range(self.m):
             for j in _bits(self.adj[i] >> (i + 1)):
                 out.append((i + 1, i + 1 + j + 1))
         return sorted(out)
 
-    def has_edge(self, a, b):
-        return bool(self.adj[a - 1] >> (b - 1) & 1)
-
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented
-        return (self.m, self.adj, self.labels) == \
-            (other.m, other.adj, other.labels)
+        return (self.m, self.adj) == (other.m, other.adj)
 
     def __hash__(self):
-        return hash((self.m, self.adj, self.labels))
+        return hash((self.m, self.adj))
 
     def __repr__(self):
         return f"Graph(m={self.m}, edges={self.edges()})"
@@ -97,9 +89,9 @@ class SimplicialComplex:
     restriction of a complex to the empty vertex subset.
     """
 
-    __slots__ = ("m", "faces", "labels", "_skeleton")
+    __slots__ = ("m", "faces", "_skeleton")
 
-    def __init__(self, m, faces, labels=None):
+    def __init__(self, m, faces):
         _check_vertex_count(m, 0)
         faces = frozenset(faces)
         if 0 not in faces:
@@ -113,10 +105,6 @@ class SimplicialComplex:
                 raise ValueError(f"missing singleton face for vertex {i + 1}")
         self.m = m
         self.faces = faces
-        self.labels = tuple(labels) if labels is not None \
-            else tuple(range(1, m + 1))
-        if len(self.labels) != m:
-            raise ValueError("labels length must equal vertex count")
         self._skeleton = None
 
     # -- construction -----------------------------------------------------
@@ -165,25 +153,23 @@ class SimplicialComplex:
         return sorted(f for f in self.faces if f.bit_count() == k)
 
     def maximal_faces(self):
-        """Inclusion-maximal faces as sorted lists of external labels,
-        ordered lexicographically.  Round-trips through
-        :meth:`from_maximal_faces` when labels are 1..m."""
+        """Inclusion-maximal faces as sorted vertex lists, ordered
+        lexicographically.  Round-trips through :meth:`from_maximal_faces`."""
         out = []
         for f in self.faces:
             # by downward closure, maximal means no one-vertex extension
             if not any(not f >> v & 1 and (f | (1 << v)) in self.faces
                        for v in range(self.m)) and (f or self.m == 0):
-                out.append(sorted(self.labels[i] for i in _bits(f)))
+                out.append([i + 1 for i in _bits(f)])
         return sorted(out)
 
     def __eq__(self, other):
         if not isinstance(other, SimplicialComplex):
             return NotImplemented
-        return (self.m, self.faces, self.labels) == \
-            (other.m, other.faces, other.labels)
+        return (self.m, self.faces) == (other.m, other.faces)
 
     def __hash__(self):
-        return hash((self.m, self.faces, self.labels))
+        return hash((self.m, self.faces))
 
     def __repr__(self):
         return (f"SimplicialComplex(m={self.m}, "
@@ -192,33 +178,21 @@ class SimplicialComplex:
     # -- derived structures -------------------------------------------------
 
     def one_skeleton(self):
-        """The graph of vertices and edges, with this complex's labels."""
+        """The graph of vertices and edges."""
         if self._skeleton is None:
             edges = []
             for f in self.faces:
                 if f.bit_count() == 2:
                     a, b = _bits(f)
                     edges.append((a + 1, b + 1))
-            self._skeleton = Graph(self.m, edges, self.labels)
+            self._skeleton = Graph(self.m, edges)
         return self._skeleton
 
     def full_subcomplex(self, vertices):
-        """The subcomplex of faces contained in the given vertex subset.
-
-        ``vertices`` uses this complex's external labels.  The result is a
-        complex on the chosen vertices, renumbered 1..|J| internally but
-        remembering the original names.
-        """
-        wanted = set(vertices)
-        unknown = wanted.difference(self.labels)
-        if unknown:
-            raise ValueError(f"unknown vertices {sorted(unknown)}")
-        positions = [i for i, lab in enumerate(self.labels) if lab in wanted]
-        sub_m = len(positions)
-        newbit = {pos: k for k, pos in enumerate(positions)}
-        mask = 0
-        for pos in positions:
-            mask |= 1 << pos
+        """The subcomplex of faces contained in the given vertex subset J of
+        1..m, renumbered 1..|J| in increasing order."""
+        mask = _mask_of(vertices, self.m)
+        newbit = {pos: k for k, pos in enumerate(_bits(mask))}
         faces = set()
         for f in self.faces:
             if f & ~mask:
@@ -227,8 +201,7 @@ class SimplicialComplex:
             for pos in _bits(f):
                 g |= 1 << newbit[pos]
             faces.add(g)
-        return SimplicialComplex(sub_m, faces,
-                                 tuple(self.labels[p] for p in positions))
+        return SimplicialComplex(len(newbit), faces)
 
 
 def _components_masks(K, sub_mask):
@@ -251,53 +224,52 @@ def _components_masks(K, sub_mask):
     return comps
 
 
+def _cliques(graph):
+    """The cliques of ``graph`` with two or more vertices, as masks,
+    breadth-first by size: the edges in increasing order, then each
+    clique of the last size extended by every common neighbour above its
+    top vertex, each extension yielded as it is made."""
+    current = [1 << i | 1 << j for i in range(graph.m)
+               for j in _bits(graph.adj[i] & ((1 << i) - 1))]
+    yield from current
+    full = (1 << graph.m) - 1
+    while current:
+        nxt = []
+        for clique in current:
+            common = full
+            top = 0
+            for i in _bits(clique):
+                common &= graph.adj[i]
+                top = i
+            for j in _bits(common >> (top + 1)):
+                bigger = clique | (1 << (top + 1 + j))
+                yield bigger
+                nxt.append(bigger)
+        current = nxt
+
+
 def clique_complex(graph):
     """The complex whose faces are exactly the cliques of ``graph``.
 
     The result is flag and has ``graph`` as its 1-skeleton.
     """
-    faces = {0}
-    m = graph.m
-
-    def grow(clique, candidates):
-        while candidates:
-            v = candidates & -candidates
-            candidates &= candidates - 1
-            i = v.bit_length() - 1
-            bigger = clique | v
-            faces.add(bigger)
-            grow(bigger, candidates & graph.adj[i])
-    grow(0, (1 << m) - 1)
-    return SimplicialComplex(m, faces, graph.labels)
+    faces = {0, *(1 << i for i in range(graph.m)), *_cliques(graph)}
+    return SimplicialComplex(graph.m, faces)
 
 
 def is_flag(K):
     """Whether every minimal non-face of ``K`` has exactly two vertices.
 
     Returns ``(True, None)`` or ``(False, witness)`` where the witness is a
-    minimal non-face with >= 3 vertices (external labels).  A complex is
-    flag exactly when every clique of its 1-skeleton is a face, so the
-    smallest clique that fails to be a face is such a witness.
+    minimal non-face with >= 3 vertices.  A complex is flag exactly when
+    every clique of its 1-skeleton is a face, so the smallest clique that
+    fails to be a face is such a witness.
     """
-    g = K.one_skeleton()
-    # breadth-first over cliques by size: all smaller cliques are already
+    # the walk is breadth-first by size: all smaller cliques are already
     # known to be faces when we first meet a non-face, so it is minimal
-    current = K.faces_of_size(2)
-    while current:
-        nxt = []
-        for clique in current:
-            common = (1 << K.m) - 1
-            top = 0
-            for i in _bits(clique):
-                common &= g.adj[i]
-                top = i
-            for j in _bits(common >> (top + 1)):
-                bigger = clique | (1 << (top + 1 + j))
-                if bigger not in K.faces:
-                    witness = tuple(sorted(K.labels[i] for i in _bits(bigger)))
-                    return False, witness
-                nxt.append(bigger)
-        current = nxt
+    for clique in _cliques(K.one_skeleton()):
+        if clique not in K.faces:
+            return False, tuple(i + 1 for i in _bits(clique))
     return True, None
 
 
@@ -331,7 +303,7 @@ def _find_chordless_cycle(graph):
                         path.append(prev[path[-1]])
                     path.pop()
                     cycle = [v] + path[::-1]
-                    return tuple(graph.labels[i] for i in cycle)
+                    return tuple(i + 1 for i in cycle)
     return None
 
 
@@ -388,8 +360,7 @@ def is_chordal(graph):
                             "MCS order is not a perfect elimination ordering "
                             "but no chordless cycle was found")
                     return Chordality(False, cycle=cycle)
-    ordering = tuple(graph.labels[v] for v in order)
-    return Chordality(True, ordering=ordering)
+    return Chordality(True, ordering=tuple(v + 1 for v in order))
 
 
 # ---------------------------------------------------------------------------

@@ -210,11 +210,6 @@ def multiply(u, v, spec):
     return normal_form(tuple(u) + tuple(v), spec)
 
 
-def inverse(u, spec):
-    """Normal form of u^-1 (letters reversed, exponents negated)."""
-    return normal_form(_inverse_letters(u, spec), spec)
-
-
 def is_identity(u, spec):
     return normal_form(u, spec) == ()
 

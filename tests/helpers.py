@@ -2,10 +2,13 @@
 and independent brute-force oracles."""
 
 import itertools
-from math import gcd
+from math import comb, gcd
 
+from coxkit.commutators import generator_count
+from coxkit.cubical import CubeComplex
 from coxkit.simplicial import (Graph, SimplicialComplex, _bits,
                                _components_masks)
+from coxkit.words import _inverse_letters, normal_form
 
 
 def all_complexes(m):
@@ -57,9 +60,9 @@ def random_graph(m, rng, p=0.5):
 
 
 def components(K):
-    """Components of the 1-skeleton of K, as tuples of external labels,
-    each sorted, ordered by their smallest label."""
-    comps = [tuple(sorted(K.labels[i] for i in _bits(mask)))
+    """Components of the 1-skeleton of K, as sorted vertex tuples,
+    ordered by their smallest vertex."""
+    comps = [tuple(i + 1 for i in _bits(mask))
              for mask in _components_masks(K, (1 << K.m) - 1)]
     return sorted(comps, key=lambda c: c[0])
 
@@ -92,9 +95,48 @@ def cube_faces(cell):
         sign = -sign
 
 
+def entry(M, r, c):
+    """Entry (r, c) of the IntMatrix ``M``, zero where nothing is stored."""
+    if not (0 <= r < M.rows and 0 <= c < M.cols):
+        raise IndexError((r, c))
+    return M._row.get(r, {}).get(c, 0)
+
+
 def dense(M):
     """The IntMatrix ``M`` as a list of rows, zeros included."""
-    return [[M.entry(r, c) for c in range(M.cols)] for r in range(M.rows)]
+    return [[entry(M, r, c) for c in range(M.cols)] for r in range(M.rows)]
+
+
+def support(gen):
+    """The vertices of a CommutatorGenerator: its ks, j and i, sorted."""
+    return tuple(sorted(gen.ks + (gen.j, gen.i)))
+
+
+def inverse(u, spec):
+    """Normal form of u^-1, from the letter reversal that ``commutator``
+    uses (it checks every letter before negating its exponent)."""
+    return normal_form(_inverse_letters(u, spec), spec)
+
+
+def free_product_counts(m):
+    """Generators per length for m disjoint points in closed form:
+    (l - 1) * C(m, l) of length l."""
+    return {ell: (ell - 1) * comb(m, ell) for ell in range(2, m + 1)
+            if (ell - 1) * comb(m, ell)}
+
+
+def wedge_of_circles_signature(K):
+    """Whether the cubical model of K looks like a wedge of circles:
+    homology vanishes above degree 1, no torsion anywhere, and betti_1 ==
+    generator count == 1 - Euler characteristic."""
+    R = CubeComplex(K)
+    hom = R.homology()
+    count = generator_count(K)
+    higher_trivial = all(h.is_trivial() for h in hom[2:])
+    torsion_free = all(not h.torsion for h in hom)
+    b1 = hom[1].betti if len(hom) > 1 else 0
+    return (higher_trivial and torsion_free and b1 == count
+            and count == 1 - R.euler_characteristic())
 
 
 # -- brute-force oracles ------------------------------------------------------

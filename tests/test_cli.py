@@ -262,7 +262,7 @@ def test_text_mode_never_builds_the_echo(tmp_path, capsys, monkeypatch):
 
 def test_broken_chain_complex_is_an_internal_error(
         tmp_path, capsys, monkeypatch):
-    not_a_complex = [IntMatrix.zero(0, 1), IntMatrix.from_dense([[1]]),
+    not_a_complex = [IntMatrix(0, 1), IntMatrix.from_dense([[1]]),
                      IntMatrix.from_dense([[1]])]
     monkeypatch.setattr(cubical.CubeComplex, "boundaries",
                         property(lambda self: not_a_complex))

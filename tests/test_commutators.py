@@ -5,13 +5,13 @@ import pytest
 
 from coxkit.commutators import (CommutatorGenerator, NotFlagError,
                                 commutator_subgroup_is_free, coxeter_spec,
-                                enumerate_generators, free_product_counts,
-                                generator_count, generator_words,
-                                per_length_counts)
+                                enumerate_generators, generator_count,
+                                generator_words, per_length_counts)
 from coxkit.simplicial import SimplicialComplex, reduced_homology
 from coxkit.words import (abelianization, geometric_representation,
                           is_identity_matrix)
-from helpers import all_complexes, components, random_complex
+from helpers import (all_complexes, components, free_product_counts,
+                     random_complex, support)
 
 PATH4 = SimplicialComplex.from_maximal_faces(4, [[1, 2], [2, 3], [4]])
 
@@ -70,18 +70,20 @@ def test_count_identity_three_paths():
 def test_generator_structure_and_ordering():
     gens = enumerate_generators(PATH4)
 
-    def mask(support):
-        return sum(1 << (v - 1) for v in support)
-    keys = [(len(g.support), mask(g.support), g.i) for g in gens]
+    def mask(vertices):
+        return sum(1 << (v - 1) for v in vertices)
+    keys = [(len(support(g)), mask(support(g)), g.i) for g in gens]
     assert keys == sorted(keys)
     for g in gens:
-        assert g.j == max(g.support)
+        assert g.j == max(support(g))
         assert g.i < g.j and g.i not in g.ks
         assert list(g.ks) == sorted(g.ks)
         # i is the smallest vertex of its component avoiding j
-        sub = PATH4.full_subcomplex(list(g.support))
-        comp = next(c for c in components(sub) if g.i in c)
-        assert g.j not in comp and min(comp) == g.i
+        # the restriction numbers support(g) 1..l in increasing order
+        sub = PATH4.full_subcomplex(list(support(g)))
+        new = {v: k + 1 for k, v in enumerate(support(g))}
+        comp = next(c for c in components(sub) if new[g.i] in c)
+        assert new[g.j] not in comp and min(comp) == new[g.i]
 
 
 def test_generator_validation():

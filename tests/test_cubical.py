@@ -6,15 +6,14 @@ from coxkit import cubical, intlinalg
 from coxkit.commutators import (coxeter_spec, enumerate_generators,
                                 generator_count, generator_words)
 from coxkit.cubical import (CubeComplex, basis_certificate, build,
-                            euler_characteristic,
                             fundamental_group_presentation, homology,
-                            homology_splitting_check, loop_class,
-                            wedge_of_circles_signature, word_class,
+                            homology_splitting_check, word_class,
                             word_to_loop)
 from coxkit.intlinalg import IntMatrix, chain_homology, smith_normal_form
 from coxkit.simplicial import SimplicialComplex, clique_complex
 from coxkit.words import GroupSpec, commutator, generator, multiply
-from helpers import all_complexes, cube_faces, random_complex, random_graph
+from helpers import (all_complexes, cube_faces, entry, random_complex,
+                     random_graph, wedge_of_circles_signature)
 
 C4 = SimplicialComplex.cycle(4)
 PATH4 = SimplicialComplex.from_maximal_faces(4, [[1, 2], [2, 3], [4]])
@@ -94,7 +93,7 @@ def test_cycle_surfaces():
         hs = homology(R)
         assert [h.betti for h in hs] == [1, 2 * genus, 1]
         assert all(not h.torsion for h in hs)
-        assert euler_characteristic(R) == 2 - 2 * genus
+        assert R.euler_characteristic() == 2 - 2 * genus
 
 
 def test_cycle10_homology():
@@ -106,10 +105,10 @@ def test_cycle10_homology():
 
 
 def test_euler_characteristic():
-    assert euler_characteristic(build(C4)) == 0
+    assert build(C4).euler_characteristic() == 0
     for m in (2, 3, 4, 5):
         K = SimplicialComplex.points(m)
-        chi = euler_characteristic(build(K))
+        chi = build(K).euler_characteristic()
         assert chi == 2 ** m - m * 2 ** (m - 1)
         assert chi == 1 - generator_count(K)
     # Euler characteristic always equals the alternating Betti sum
@@ -118,7 +117,7 @@ def test_euler_characteristic():
     for _ in range(20):
         R = build(random_complex(rng.randint(1, 6), rng))
         alt = sum((-1) ** k * h.betti for k, h in enumerate(homology(R)))
-        assert euler_characteristic(R) == alt
+        assert R.euler_characteristic() == alt
 
 
 def test_splitting_check_examples():
@@ -200,7 +199,7 @@ def test_pi1_relators_match_two_cell_boundaries():
                 idx = abs(signed) - 1
                 counts[idx] = counts.get(idx, 0) + (1 if signed > 0 else -1)
             for row in range(loops.rank_cycles):
-                assert counts.get(row, 0) == loops.relators.entry(row, col)
+                assert counts.get(row, 0) == entry(loops.relators, row, col)
 
 
 def test_pi1_relators_are_corner_walks():
@@ -259,9 +258,9 @@ def test_loop_system_builds_relators_without_boundaries():
         R = build(K)
         loops = R.loop_system()
         assert R._boundaries is None
-        edges = R._keys()[1]
+        edges = R._keys(1)
         d2 = (R.boundaries[2] if len(R.boundaries) > 2
-              else IntMatrix.zero(len(edges), 0))
+              else IntMatrix(len(edges), 0))
         want = {}
         for (r, c), v in d2.items():
             idx = loops.nontree_index.get(edges[r])
@@ -289,7 +288,7 @@ def test_loop_system_reads_int_keys(monkeypatch):
         assert cubical.certify(K).verdict
         assert built == []
         m = K.m
-        edges = R._keys()[1]
+        edges = R._keys(1)
         tree = _bfs_tree(m)
         want = [key for key in edges
                 if ((key >> m).bit_length() - 1, key & (1 << m) - 1)
@@ -302,6 +301,20 @@ def test_loop_system_reads_int_keys(monkeypatch):
             steps = word_to_loop(R, w, spec)
             assert steps
             assert all(key in edge_set and d in (1, -1) for key, d in steps)
+
+
+def test_loop_system_builds_only_edges_and_squares(monkeypatch):
+    # the loop system reads the 1- and 2-cells, so it asks the complex for
+    # its vertices and edges only, however high the model's dimension
+    asked = []
+    faces_of_size = SimplicialComplex.faces_of_size
+    monkeypatch.setattr(SimplicialComplex, "faces_of_size",
+                        lambda K, k: asked.append(k) or faces_of_size(K, k))
+    R = build(SimplicialComplex.simplex(6))
+    assert R.dim == 6
+    loops = R.loop_system()
+    assert sorted(asked) == [1, 2]
+    assert (loops.rank_cycles, len(loops.relator_words)) == (129, 240)
 
 
 def test_word_loops_on_torus():
@@ -330,8 +343,9 @@ def test_word_to_loop_requirements():
     # a closing word really is a closed path
     loop = word_to_loop(R, ((1, 1), (2, 1), (1, 1), (2, 1)), spec)
     assert len(loop) == 4
-    assert loop_class(R, loop) == word_class(
-        R, ((1, 1), (2, 1), (1, 1), (2, 1)), spec)
+    loops = R.loop_system()
+    assert loops.reduction.cokernel_class(loops.vector(loop))[1] == \
+        word_class(R, ((1, 1), (2, 1), (1, 1), (2, 1)), spec)
 
 
 def test_word_to_loop_checks_every_letter():
@@ -420,8 +434,9 @@ def test_wedge_signature():
 def test_no_caller_reaches_the_euclidean_phase(monkeypatch):
     # A measurement on this corpus, not a theorem: every pivot of the
     # relator matrix's LeftReduction, of certify's basis-matrix Smith call
-    # and of each homology degree's Smith call is a unit.  A complex whose
-    # reduction needs a Euclidean step would change the recorded count.
+    # and of each homology degree's Smith call is a unit.  No complex here
+    # has torsion; test_torsion_reaches_the_euclidean_phase records what
+    # torsion does.
     runs = []
     run = intlinalg._Reduction.run
 
@@ -451,6 +466,34 @@ def test_no_caller_reaches_the_euclidean_phase(monkeypatch):
         del runs[:]
     assert (len(relator), len(basis), len(degrees)) == (248, 248, 976)
     assert (sum(relator), sum(basis), sum(degrees)) == (0, 0, 0)
+
+
+
+RP2 = [[1, 2, 3], [1, 3, 4], [1, 4, 5], [1, 5, 6], [1, 6, 2], [2, 3, 5],
+       [3, 4, 6], [4, 5, 2], [5, 6, 3], [6, 2, 4]]
+
+
+def test_torsion_reaches_the_euclidean_phase(monkeypatch):
+    # A record, as above: the cube model of a 6-vertex RP^2 has a Z/2 in
+    # degree 2, and so do the models of RP^2 plus isolated vertices and of
+    # two disjoint copies, 2^k times over.  Each Z/2 is one non-unit pivot
+    # in the top degree's Smith call, and every other pivot is a unit.
+    nonunits = []
+    run = intlinalg._Reduction.run
+
+    def recording(red):
+        run(red)
+        nonunits.append(len(red.pivots) - red.units)
+
+    monkeypatch.setattr(intlinalg._Reduction, "run", recording)
+    two = RP2 + [[v + 6 for v in face] for face in RP2]
+    for m, faces, count in ((6, RP2, 1), (7, RP2, 2), (8, RP2, 4),
+                            (12, two, 128)):
+        K = SimplicialComplex.from_maximal_faces(m, faces)
+        hs = CubeComplex(K).homology()
+        assert nonunits == [0, 0, 0, count]
+        assert [h.torsion for h in hs] == [(), (), (2,) * count, ()]
+        del nonunits[:]
 
 
 def test_chain_homology_clears_rows_of_unit_pivot_columns(monkeypatch):
