@@ -53,6 +53,11 @@ def random_complex(m, rng, edge_p=0.45, tri_p=0.18, quad_p=0.06):
     return SimplicialComplex.from_maximal_faces(m, maximal)
 
 
+# a 6-vertex triangulation of the real projective plane
+RP2 = [[1, 2, 3], [1, 3, 4], [1, 4, 5], [1, 5, 6], [1, 6, 2], [2, 3, 5],
+       [3, 4, 6], [4, 5, 2], [5, 6, 3], [6, 2, 4]]
+
+
 def random_graph(m, rng, p=0.5):
     edges = [c for c in itertools.combinations(range(1, m + 1), 2)
              if rng.random() < p]

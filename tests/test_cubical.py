@@ -12,7 +12,7 @@ from coxkit.cubical import (CubeComplex, basis_certificate, build,
 from coxkit.intlinalg import IntMatrix, chain_homology, smith_normal_form
 from coxkit.simplicial import SimplicialComplex, clique_complex
 from coxkit.words import GroupSpec, commutator, generator, multiply
-from helpers import (all_complexes, cube_faces, entry, random_complex,
+from helpers import (RP2, all_complexes, cube_faces, entry, random_complex,
                      random_graph, wedge_of_circles_signature)
 
 C4 = SimplicialComplex.cycle(4)
@@ -466,11 +466,6 @@ def test_no_caller_reaches_the_euclidean_phase(monkeypatch):
         del runs[:]
     assert (len(relator), len(basis), len(degrees)) == (248, 248, 976)
     assert (sum(relator), sum(basis), sum(degrees)) == (0, 0, 0)
-
-
-
-RP2 = [[1, 2, 3], [1, 3, 4], [1, 4, 5], [1, 5, 6], [1, 6, 2], [2, 3, 5],
-       [3, 4, 6], [4, 5, 2], [5, 6, 3], [6, 2, 4]]
 
 
 def test_torsion_reaches_the_euclidean_phase(monkeypatch):

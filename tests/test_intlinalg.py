@@ -1,15 +1,17 @@
+import hashlib
 import math
 import random
 import time
 
 import pytest
 
+from coxkit import intlinalg
 from coxkit.cubical import build
 from coxkit.intlinalg import (ChainComplexError, HomologyGroup, IntMatrix,
                               LeftReduction, _Reduction, boundary_maps,
                               chain_homology, direct_sum, smith_normal_form)
-from coxkit.simplicial import _simplex_faces
-from helpers import (dense, entry, minor_gcd_invariant_factors,
+from coxkit.simplicial import SimplicialComplex, _simplex_faces
+from helpers import (RP2, dense, entry, minor_gcd_invariant_factors,
                      random_complex)
 
 
@@ -626,3 +628,63 @@ def test_chain_homology_prescribed_torsion():
                 euclidean_then_more += 1
     # the Euclidean phase runs, and clearing must then leave its rows alone
     assert euclidean_then_more >= 30
+
+
+def _kernel_corpus(monkeypatch):
+    """Seeded matrices for the Smith kernel: cube-model and simplicial
+    boundaries, random sparse matrices, P D Q products with D's factors
+    prescribed, and the top-degree Smith call of cube-model homology for
+    three complexes with torsion (RP^2, RP^2 plus two isolated vertices,
+    two disjoint RP^2s at m = 12)."""
+    rng = random.Random(17)
+    mats = []
+    for m in range(4, 9):
+        K = random_complex(m, rng)
+        mats += build(K).boundaries[1:]
+        levels = [K.faces_of_size(k) for k in range(K.dim() + 2)]
+        mats += boundary_maps(levels, _simplex_faces)[1:]
+    for _ in range(300):
+        rows, cols = rng.randint(1, 16), rng.randint(1, 16)
+        mats.append(IntMatrix(rows, cols, [
+            ((r, c), rng.choice([0, 0, 0, 0, 0, 1, -1, 2, -2, 3]))
+            for r in range(rows) for c in range(cols)]))
+    for _ in range(100):
+        rows, cols = rng.randint(6, 20), rng.randint(6, 20)
+        d, diagonal = 1, {}
+        for i in range(rng.randint(0, min(rows, cols))):
+            d *= rng.choice([1, 1, 2, 3])
+            diagonal[i, i] = d
+        P = IntMatrix.from_dense(_unimodular_pair(rng, rows)[0])
+        Q = IntMatrix.from_dense(_unimodular_pair(rng, cols)[1])
+        mats.append(P @ IntMatrix(rows, cols, diagonal) @ Q)
+    calls = []
+    real = intlinalg.smith_normal_form
+    monkeypatch.setattr(intlinalg, "smith_normal_form",
+                        lambda mat, **kw: calls.append(mat) or real(mat, **kw))
+    two = RP2 + [[v + 6 for v in face] for face in RP2]
+    for m, faces in ((6, RP2), (8, RP2), (12, two)):
+        build(SimplicialComplex.from_maximal_faces(m, faces)).homology()
+        mats.append(calls[-1])
+    return mats
+
+
+def test_kernel_output_is_pinned(monkeypatch):
+    # A digest of every pivot, the unit count and the left transform over
+    # the corpus, with and without tracking: a faster kernel must make the
+    # same pivots in the same order and the same U.  A change to the corpus
+    # or to what its builders make changes the digest too.  U is written in
+    # hex: in a few P D Q products its entries grow to 265,000 bits, past
+    # the digit limit of int-to-decimal conversion.
+    digest = hashlib.sha256()
+    mats = _kernel_corpus(monkeypatch)
+    for M in mats:
+        for track in (False, True):
+            red = _Reduction(M, track_left=track)
+            red.run()
+            left = red.left and [
+                (r, [(k, hex(v)) for k, v in sorted(e.items())])
+                for r, e in sorted(red.left.items())]
+            digest.update(repr((red.pivots, red.units, left)).encode())
+    assert len(mats) == 439
+    assert digest.hexdigest() == ("4ab2625be5efd8a67dae9710929564d1"
+                                  "4de6bb3247490c8a134cff36c1f96a15")
