@@ -182,7 +182,8 @@ class _Reduction:
     change), and ``colrows`` maps each column to the rows of ``row``
     holding it.  Rows and columns keep their original labels; a pivot row
     leaves ``row`` and its pivot column is then empty, so every stored
-    entry is still to be reduced.
+    entry is still to be reduced.  A row that row operations emptied stays
+    in ``row`` through the unit phase, and :meth:`pivot` drops it.
 
     Elimination uses row operations on the matrix and no column
     operations.  Once the pivot column is clear, a column operation
@@ -199,10 +200,13 @@ class _Reduction:
     (r, c) is taken in :meth:`run` itself, not through :meth:`pivot`: one
     :meth:`add_rows` call adds ``-row[r2][c] * row[r][c]`` times row r to
     each other row r2 of column c, which clears it with no remainder (a
-    column of length one needs no row operation), and the pass that drops
-    row r re-queues its other columns.  What is left holds no unit; there
-    :meth:`pivot` takes the entry of least absolute value next, with
-    Euclidean steps.
+    column of length one needs no row operation).  Only the columns of row
+    r change, and the pass that drops row r re-queues each of them whose
+    length changed or that is not queued: a queued column has exactly one
+    live entry, its current (length, index) key.  What is left holds no
+    unit; there :meth:`pivot` takes the entry of least absolute value
+    next, with Euclidean steps, from a heap keyed on (|v|, row, column)
+    that gets the entries of every row a pivot changed.
 
     :meth:`add_rows` is the one row operation of both phases.  When
     ``track_left`` is set, it mirrors every row operation on an
@@ -214,7 +218,11 @@ class _Reduction:
         self.colrows = colrows = {}
         for r, entries in self.row.items():
             for c in entries:
-                colrows.setdefault(c, set()).add(r)
+                rows = colrows.get(c)
+                if rows is None:
+                    colrows[c] = {r}
+                else:
+                    rows.add(r)
         self.left = ({r: {r: 1} for r in range(mat.rows)}
                      if track_left else None)
         self.pivots = []            # (row, col, divisor) in elimination order
@@ -251,7 +259,7 @@ class _Reduction:
 
     def pivot(self, r, c):
         """Eliminate with pivot (r, c), which may move on the way, and drop
-        the pivot row; returns the dropped row's entries.
+        the pivot row; returns the rows left whose entries changed.
 
         1. Clear column c by Euclidean row operations, row by row in index
            order; a nonzero remainder becomes the pivot.
@@ -261,10 +269,14 @@ class _Reduction:
         3. Fold the lowest row holding an entry the pivot does not divide
            into row r, and start again.  Then the pivot divides every
            entry left, so the factors come out in divisibility order.
+           The scan drops the rows that row operations emptied: they can
+           hold no entry again.  It is skipped when |pivot| is the last
+           factor, which divides every entry left.
         Steps 2 and 3 have nothing to do for a unit pivot.  Every choice
         goes by index, so U is a function of the matrix alone.
         """
         row, colrows = self.row, self.colrows
+        changed = set()
         while True:
             d = row[r][c]
             rows = colrows[c]
@@ -275,12 +287,14 @@ class _Reduction:
                         q = v // d
                         if q:
                             self.add_rows(r, [(r2, -q)])
+                            changed.add(r2)
                         if v != q * d:
                             r, d = r2, v - q * d
                             break
             if d == 1 or d == -1:
                 break
             prow = row[r]
+            changed.add(r)
             for c2, v in list(prow.items()):                # step 2
                 if c2 != c:
                     v %= d
@@ -292,39 +306,51 @@ class _Reduction:
             if len(prow) > 1:
                 c = min(prow, key=lambda k: (abs(prow[k]), k))
                 continue
-            bad = min((r2 for r2, entries in row.items()    # step 3
-                       if any(v % d for v in entries.values())), default=None)
+            if self.pivots and abs(d) == self.pivots[-1][2]:
+                break
+            bad = None
+            for r2, entries in list(row.items()):           # step 3
+                if not entries:
+                    del row[r2]
+                elif (bad is None or r2 < bad) and any(
+                        v % d for v in entries.values()):
+                    bad = r2
             if bad is None:
                 break
             self.add_rows(bad, [(r, 1)])
-        dropped = row.pop(r)
-        for c2 in dropped:
+        for c2 in row.pop(r):
             colrows[c2].discard(r)
         if d < 0:
             d = -d
             if self.left is not None:
                 self.left[r] = {k: -v for k, v in self.left[r].items()}
         self.pivots.append((r, c, d))
-        return dropped
+        return [r2 for r2 in changed if r2 in row]
 
     def run(self):
         """Full reduction; afterwards ``pivots`` holds the invariant factors
         in divisibility order."""
         row, colrows, left = self.row, self.colrows, self.left
         # a heap of columns keyed on (length, index), packed into one int;
-        # an entry whose length is stale is skipped, as the column was
-        # pushed again when it changed, and an empty column never returns
-        shift = max(colrows, default=0).bit_length()
+        # live[c] is column c's one live key, 0 when c is not queued, and
+        # a popped key that is not live is skipped
+        top = max(colrows, default=0)
+        shift = top.bit_length()
         mask = (1 << shift) - 1
-        heap = [len(rows) << shift | c for c, rows in colrows.items()]
+        live = [0] * (top + 1)
+        heap = []
+        for c, rows in colrows.items():
+            live[c] = key = len(rows) << shift | c
+            heap.append(key)
         heapq.heapify(heap)
         heappush, heappop = heapq.heappush, heapq.heappop
         while heap:
             key = heappop(heap)
-            n, c = key >> shift, key & mask
-            rows = colrows[c]
-            if n != len(rows):
+            c = key & mask
+            if live[c] != key:
                 continue
+            live[c] = 0
+            n, rows = key >> shift, colrows[c]
             p = None
             for r in rows:
                 v = row[r][c]
@@ -341,20 +367,30 @@ class _Reduction:
             for c2 in prow:
                 rows2 = colrows[c2]
                 rows2.discard(p)
-                if rows2:
-                    heappush(heap, len(rows2) << shift | c2)
+                key = len(rows2) << shift | c2 if rows2 else 0
+                if live[c2] != key:
+                    live[c2] = key
+                    if key:
+                        heappush(heap, key)
             if d < 0 and left is not None:
                 lp = left[p]
                 for k in lp:
                     lp[k] = -lp[k]
             self.pivots.append((p, c, 1))
         self.units = len(self.pivots)
-        while True:
-            least = min(((abs(v), r, c) for r, entries in row.items()
-                         for c, v in entries.items()), default=None)
-            if least is None:
-                return
-            self.pivot(least[1], least[2])
+        # the least entry next; a popped entry whose value changed, or that
+        # left, is skipped, as every row a pivot changed is pushed again
+        heap = [(abs(v), r, c) for r, entries in row.items()
+                for c, v in entries.items()]
+        heapq.heapify(heap)
+        while heap:
+            a, r, c = heappop(heap)
+            v = row[r].get(c) if r in row else None
+            if v is None or abs(v) != a:
+                continue
+            for r2 in self.pivot(r, c):
+                for c2, w in row[r2].items():
+                    heappush(heap, (abs(w), r2, c2))
 
 
 def smith_normal_form(mat, *, _units=None):

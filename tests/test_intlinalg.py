@@ -559,6 +559,30 @@ def test_unit_phase_order_matches_a_brute_force_reference():
     assert euclidean >= 20
 
 
+def test_unit_phase_pops_each_column_once(monkeypatch):
+    # d_1 of a cube model: unit pivots merge vertex rows, so the pivot rows
+    # grow, yet no column changes length.  With one live key per column
+    # each column is popped once and none is pushed again; a queue that
+    # took every column of every dropped row made 4,608 pops here.
+    d1 = build(random_complex(8, random.Random(1))).boundaries[1]
+    calls = {"heappop": 0, "heappush": 0}
+
+    def counting(name):
+        real = getattr(intlinalg.heapq, name)
+
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(intlinalg.heapq, name, counting(name))
+    red = _Reduction(d1)
+    red.run()
+    assert len(red.pivots) == red.units == 255
+    assert calls["heappop"] <= d1.cols == 1024 and calls["heappush"] == 0
+
+
 def _unimodular_pair(rng, n):
     """A random unimodular P and its inverse Q, as dense rows: products of
     elementary operations with multipliers +-1, +-2, then a permutation."""
