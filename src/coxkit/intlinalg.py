@@ -333,11 +333,14 @@ class _Reduction:
         row, colrows, left = self.row, self.colrows, self.left
         # a heap of columns keyed on (length, index), packed into one int;
         # live[c] is column c's one live key, 0 when c is not queued, and
-        # a popped key that is not live is skipped
+        # a popped key that is not live is skipped.  live is a list while
+        # the column labels are dense, as in every boundary matrix, else a
+        # dict, so its size follows the columns present, not the labels.
         top = max(colrows, default=0)
         shift = top.bit_length()
         mask = (1 << shift) - 1
-        live = [0] * (top + 1)
+        live = ([0] * (top + 1) if top < 4 * len(colrows)
+                else dict.fromkeys(colrows, 0))
         heap = []
         for c, rows in colrows.items():
             live[c] = key = len(rows) << shift | c

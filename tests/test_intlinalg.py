@@ -562,8 +562,7 @@ def test_unit_phase_order_matches_a_brute_force_reference():
 def test_unit_phase_pops_each_column_once(monkeypatch):
     # d_1 of a cube model: unit pivots merge vertex rows, so the pivot rows
     # grow, yet no column changes length.  With one live key per column
-    # each column is popped once and none is pushed again; a queue that
-    # took every column of every dropped row made 4,608 pops here.
+    # each column is popped once and none is pushed again.
     d1 = build(random_complex(8, random.Random(1))).boundaries[1]
     calls = {"heappop": 0, "heappush": 0}
 
@@ -581,6 +580,18 @@ def test_unit_phase_pops_each_column_once(monkeypatch):
     red.run()
     assert len(red.pivots) == red.units == 255
     assert calls["heappop"] <= d1.cols == 1024 and calls["heappush"] == 0
+
+
+def test_sparse_column_labels():
+    # the unit phase's live keys take room for the columns present, not
+    # for the largest label: a list of 2**62 slots cannot be allocated
+    big = 2**62
+    M = IntMatrix(3, big + 1, {(0, big): 2, (1, 5): 1, (1, big): 1,
+                               (2, 7): 3})
+    assert smith_normal_form(M) == [1, 1, 6]
+    red = LeftReduction(M)
+    assert red.factors == [1, 1, 6]
+    assert red.cokernel_class({0: 2, 1: 1}) == ((0, 0, 0), ())
 
 
 def _unimodular_pair(rng, n):
@@ -697,8 +708,8 @@ def test_kernel_output_is_pinned(monkeypatch):
     # the corpus, with and without tracking: a faster kernel must make the
     # same pivots in the same order and the same U.  A change to the corpus
     # or to what its builders make changes the digest too.  U is written in
-    # hex: in a few P D Q products its entries grow to 265,000 bits, past
-    # the digit limit of int-to-decimal conversion.
+    # hex: in one P D Q product its entries reach 265,000 bits, past the
+    # digit limit of int-to-decimal conversion.
     digest = hashlib.sha256()
     mats = _kernel_corpus(monkeypatch)
     for M in mats:
