@@ -270,8 +270,7 @@ class _Reduction:
            into row r, and start again.  Then the pivot divides every
            entry left, so the factors come out in divisibility order.
            The scan drops the rows that row operations emptied: they can
-           hold no entry again.  It is skipped when |pivot| is the last
-           factor, which divides every entry left.
+           hold no entry again.
         Steps 2 and 3 have nothing to do for a unit pivot.  Every choice
         goes by index, so U is a function of the matrix alone.
         """
@@ -306,8 +305,6 @@ class _Reduction:
             if len(prow) > 1:
                 c = min(prow, key=lambda k: (abs(prow[k]), k))
                 continue
-            if self.pivots and abs(d) == self.pivots[-1][2]:
-                break
             bad = None
             for r2, entries in list(row.items()):           # step 3
                 if not entries:
@@ -333,14 +330,10 @@ class _Reduction:
         row, colrows, left = self.row, self.colrows, self.left
         # a heap of columns keyed on (length, index), packed into one int;
         # live[c] is column c's one live key, 0 when c is not queued, and
-        # a popped key that is not live is skipped.  live is a list while
-        # the column labels are dense, as in every boundary matrix, else a
-        # dict, so its size follows the columns present, not the labels.
-        top = max(colrows, default=0)
-        shift = top.bit_length()
+        # a popped key that is not live is skipped
+        shift = max(colrows, default=0).bit_length()
         mask = (1 << shift) - 1
-        live = ([0] * (top + 1) if top < 4 * len(colrows)
-                else dict.fromkeys(colrows, 0))
+        live = dict.fromkeys(colrows, 0)
         heap = []
         for c, rows in colrows.items():
             live[c] = key = len(rows) << shift | c
