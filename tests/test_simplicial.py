@@ -1,12 +1,15 @@
+import hashlib
 import itertools
 import random
 
 import pytest
 
-from coxkit.simplicial import (Graph, SimplicialComplex,
-                               _reduced_homology_key, clique_complex,
-                               is_chordal, is_flag, reduced_homology)
-from helpers import (all_graphs, brute_missing_faces, components,
+from coxkit.commutators import enumerate_generators
+from coxkit.simplicial import (Graph, SimplicialComplex, _bits, _cliques,
+                               _components_masks, _reduced_homology_key,
+                               clique_complex, is_chordal, is_flag,
+                               reduced_homology)
+from helpers import (RP2, all_graphs, brute_missing_faces, components,
                      has_chordless_cycle, random_complex, random_graph)
 
 
@@ -149,6 +152,69 @@ def test_components_match_reduced_h0():
             sub = K.full_subcomplex(J)
             assert reduced_homology(sub)[1].betti == \
                 len(components(sub)) - 1
+
+
+def test_components_match_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(18)
+    complexes = [SimplicialComplex.points(9), SimplicialComplex.cycle(9),
+                 SimplicialComplex.from_maximal_faces(6, RP2)]
+    complexes += [random_complex(rng.randint(4, 9), rng) for _ in range(30)]
+    for K in complexes:
+        graph = nx.Graph(K.one_skeleton().edges())
+        graph.add_nodes_from(range(1, K.m + 1))
+        for mask in range(1 << K.m):
+            J = [i + 1 for i in _bits(mask)]
+            want = sorted(sorted(c) for c in
+                          nx.connected_components(graph.subgraph(J)))
+            got = [[i + 1 for i in _bits(c)]
+                   for c in _components_masks(K, mask)]
+            assert got == want
+
+
+def _simplicial_corpus():
+    rng = random.Random(18)
+    corpus = []
+    for m in range(1, 13):
+        corpus += [SimplicialComplex.simplex(m), SimplicialComplex.points(m)]
+        if m >= 3:
+            corpus.append(SimplicialComplex.cycle(m))
+    corpus.append(SimplicialComplex.from_maximal_faces(6, RP2))
+    for m in range(4, 15):
+        corpus += [random_complex(m, rng) for _ in range(2)]
+    return corpus
+
+
+def test_simplicial_output_is_pinned():
+    # A digest of what the bitmask kernels return over a seeded corpus: the
+    # set-bit walk, every restriction with m <= 8, the components of every
+    # vertex subset with m <= 10, the clique walk, the flag verdict and
+    # witness, the maximal faces, the generators and the reduced homology.
+    # A faster kernel must return the same values in the same order.
+    digest = hashlib.sha256()
+    rng = random.Random(18)
+    for bits in (0, 1, 2, 5, 24, 63, 64, 65, 200):
+        for _ in range(20):
+            x = rng.getrandbits(bits)
+            digest.update(repr((x, list(_bits(x)))).encode())
+    corpus = _simplicial_corpus()
+    for K in corpus:
+        full = (1 << K.m) - 1
+        if K.m <= 8:
+            for mask in range(full + 1):
+                sub = K.full_subcomplex([i + 1 for i in _bits(mask)])
+                digest.update(repr((sub.m, sorted(sub.faces))).encode())
+        if K.m <= 10:
+            for mask in range(full + 1):
+                digest.update(repr(_components_masks(K, mask)).encode())
+        digest.update(repr(list(_cliques(K.one_skeleton()))).encode())
+        digest.update(repr((is_flag(K), K.maximal_faces())).encode())
+        digest.update(repr([g.nested()
+                            for g in enumerate_generators(K)]).encode())
+        digest.update(repr(reduced_homology(K)).encode())
+    assert len(corpus) == 57
+    assert digest.hexdigest() == ("21f63c945d1241d449c67bd65ce60ef2"
+                                  "ca0c92cf0a9a9868fd5241fd14d402b1")
 
 
 def test_is_chordal_examples():
