@@ -15,13 +15,16 @@ from .intlinalg import boundary_maps, chain_homology
 MAX_VERTICES = 24
 
 
+# The bitmask loops below walk set bits with ``low = x & -x``, the lowest
+# set bit of x, and ``x ^= low`` to clear it: they visit the bits lowest
+# first and take no step per clear bit.
+
 def _bits(mask):
-    i = 0
+    """The positions of the set bits of ``mask``, lowest first."""
     while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _mask_of(vertices, m, what="vertex list"):
@@ -192,14 +195,23 @@ class SimplicialComplex:
         """The subcomplex of faces contained in the given vertex subset J of
         1..m, renumbered 1..|J| in increasing order."""
         mask = _mask_of(vertices, self.m)
-        newbit = {pos: k for k, pos in enumerate(_bits(mask))}
+        newbit = {}             # each bit of J to its bit in 1..|J|
+        rest, new = mask, 1
+        while rest:
+            low = rest & -rest
+            newbit[low] = new
+            rest ^= low
+            new <<= 1
+        outside = ~mask
         faces = set()
         for f in self.faces:
-            if f & ~mask:
+            if f & outside:
                 continue
             g = 0
-            for pos in _bits(f):
-                g |= 1 << newbit[pos]
+            while f:
+                low = f & -f
+                g |= newbit[low]
+                f ^= low
             faces.add(g)
         return SimplicialComplex(len(newbit), faces)
 
@@ -211,16 +223,18 @@ def _components_masks(K, sub_mask):
     comps = []
     todo = sub_mask
     while todo:
-        start = todo & -todo
-        comp = start
-        queue = deque([start.bit_length() - 1])
-        while queue:
-            v = queue.popleft()
-            fresh = adj[v] & sub_mask & ~comp
-            comp |= fresh
-            queue.extend(_bits(fresh))
+        # grow by the neighbours of the whole frontier, one layer a pass
+        comp = frontier = todo & -todo
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= adj[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & todo & ~comp
+            comp |= frontier
         comps.append(comp)
-        todo &= ~comp
+        todo ^= comp
     return comps
 
 
@@ -228,24 +242,34 @@ def _cliques(graph):
     """The cliques of ``graph`` with two or more vertices, as masks,
     breadth-first by size: the edges in increasing order, then each
     clique of the last size extended by every common neighbour above its
-    top vertex, each extension yielded as it is made."""
-    current = [1 << i | 1 << j for i in range(graph.m)
-               for j in _bits(graph.adj[i] & ((1 << i) - 1))]
+    top vertex, each extension yielded as it is made.
+
+    Each clique of a level travels with ``cands``, its common neighbours
+    above its top vertex: extending by the lowest of them, ``low``, leaves
+    the rest, all above ``low``, and the new clique's are those of them
+    adjacent to ``low``."""
+    adj = graph.adj
+    current, cands = [], []
+    for i in range(graph.m):
+        above = adj[i] & (-2 << i)
+        lower = adj[i] & ((1 << i) - 1)
+        while lower:
+            low = lower & -lower
+            lower ^= low
+            current.append(low | 1 << i)
+            cands.append(above & adj[low.bit_length() - 1])
     yield from current
-    full = (1 << graph.m) - 1
     while current:
-        nxt = []
-        for clique in current:
-            common = full
-            top = 0
-            for i in _bits(clique):
-                common &= graph.adj[i]
-                top = i
-            for j in _bits(common >> (top + 1)):
-                bigger = clique | (1 << (top + 1 + j))
+        nxt, nxt_cands = [], []
+        for clique, cand in zip(current, cands):
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                bigger = clique | low
                 yield bigger
                 nxt.append(bigger)
-        current = nxt
+                nxt_cands.append(cand & adj[low.bit_length() - 1])
+        current, cands = nxt, nxt_cands
 
 
 def clique_complex(graph):
@@ -368,10 +392,16 @@ def is_chordal(graph):
 # ---------------------------------------------------------------------------
 
 def _simplex_faces(f):
-    sign = 1
-    for i in _bits(f):
-        yield f & ~(1 << i), sign
+    """The (face, sign) pairs of simplex ``f``'s boundary, dropping its
+    vertices lowest first with signs +1, -1, +1, ..."""
+    out = []
+    sign, rest = 1, f
+    while rest:
+        low = rest & -rest
+        out.append((f ^ low, sign))
+        rest ^= low
         sign = -sign
+    return out
 
 
 # A splitting check at its m <= 10 cap asks for at most 2^10 full
