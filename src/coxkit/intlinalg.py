@@ -270,7 +270,9 @@ class _Reduction:
            into row r, and start again.  Then the pivot divides every
            entry left, so the factors come out in divisibility order.
            The scan drops the rows that row operations emptied: they can
-           hold no entry again.
+           hold no entry again.  It is skipped when |pivot| equals the
+           last factor, which divides every entry left, as row operations
+           and step 2 keep that so.
         Steps 2 and 3 have nothing to do for a unit pivot.  Every choice
         goes by index, so U is a function of the matrix alone.
         """
@@ -305,6 +307,8 @@ class _Reduction:
             if len(prow) > 1:
                 c = min(prow, key=lambda k: (abs(prow[k]), k))
                 continue
+            if self.pivots and abs(d) == self.pivots[-1][2]:
+                break                   # the last factor divides every entry
             bad = None
             for r2, entries in list(row.items()):           # step 3
                 if not entries:

@@ -582,6 +582,32 @@ def test_unit_phase_pops_each_column_once(monkeypatch):
     assert calls["heappop"] <= d1.cols == 1024 and calls["heappush"] == 0
 
 
+def test_step_3_scans_once_per_new_factor(monkeypatch):
+    # two disjoint RP^2s at m = 12: the top-degree Smith call takes 128
+    # pivots of 2 in its Euclidean phase.  The first scan makes 2 divide
+    # every entry left and row operations keep it so, so a pivot of 2
+    # after it needs no scan: step 3 checks each row holding entries once.
+    calls = []
+    real = intlinalg.smith_normal_form
+    monkeypatch.setattr(intlinalg, "smith_normal_form",
+                        lambda mat, **kw: calls.append(mat) or real(mat, **kw))
+    two = RP2 + [[v + 6 for v in face] for face in RP2]
+    build(SimplicialComplex.from_maximal_faces(12, two)).homology()
+    M = calls[-1]
+    red = _Reduction(M)
+    red.pivot = _stop_at_the_euclidean_phase
+    with pytest.raises(_UnitPhaseDone):
+        red.run()
+    rows = sum(1 for entries in red.row.values() if entries)
+    checks = []
+    monkeypatch.setattr(intlinalg, "any",
+                        lambda it: checks.append(1) or any(it), raising=False)
+    red = _Reduction(M)
+    red.run()
+    assert [d for (_, _, d) in red.pivots[red.units:]] == [2] * 128
+    assert 0 < len(checks) <= rows == 1024
+
+
 def test_sparse_column_labels():
     # the unit phase's live keys take room for the columns present, not
     # for the largest label: a list of 2**62 slots cannot be allocated
