@@ -4,13 +4,16 @@ import random
 
 import pytest
 
+from coxkit import simplicial
 from coxkit.commutators import enumerate_generators
+from coxkit.intlinalg import boundary_maps, chain_homology
 from coxkit.simplicial import (Graph, SimplicialComplex, _bits, _cliques,
                                _components_masks, _reduced_homology_key,
-                               clique_complex, is_chordal, is_flag,
-                               reduced_homology)
-from helpers import (RP2, all_graphs, brute_missing_faces, components,
-                     has_chordless_cycle, random_complex, random_graph)
+                               _simplex_faces, clique_complex, is_chordal,
+                               is_flag, reduced_homology)
+from helpers import (RP2, all_complexes, all_graphs, brute_missing_faces,
+                     components, has_chordless_cycle, random_complex,
+                     random_graph)
 
 
 def test_from_maximal_faces_worked_example():
@@ -314,6 +317,73 @@ def test_reduced_homology_sphere_and_torsion():
     assert hs[2] .betti == 0 and hs[2].torsion == (2,)
     assert hs[3].is_trivial()
 
+
+
+def _cone(K):
+    """The cone over K: vertex m + 1 added to every maximal face."""
+    return SimplicialComplex.from_maximal_faces(
+        K.m + 1, [f + [K.m + 1] for f in K.maximal_faces()])
+
+
+def test_reduced_homology_of_cones_matches_the_chain_complex():
+    # Every complex with m <= 4, seeded random ones with m 5-9 and RP^2,
+    # each with its cone: reduced_homology against the augmented chain
+    # complex built here, and a brute-force apex search against the count
+    # of faces through each vertex.
+    rng = random.Random(19)
+    base = [K for m in range(5) for K in all_complexes(m)]
+    base += [random_complex(m, rng) for m in range(5, 10) for _ in range(4)]
+    base.append(SimplicialComplex.from_maximal_faces(6, RP2))
+    corpus = base + [_cone(K) for K in base]
+    cones = 0
+    _reduced_homology_key.cache_clear()
+    for K in corpus:
+        top = max(f.bit_count() for f in K.faces)
+        levels = [sorted(f for f in K.faces if f.bit_count() == k)
+                  for k in range(top + 1)]
+        want = chain_homology(boundary_maps(levels, _simplex_faces))
+        assert reduced_homology(K) == want
+        apex = any(all(f | 1 << v in K.faces for f in K.faces)
+                   for v in range(K.m))
+        half = any(2 * sum(1 for f in K.faces if f >> v & 1) == len(K.faces)
+                   for v in range(K.m))
+        assert apex == half, K
+        if apex:
+            assert all(h.is_trivial() for h in want), K
+            cones += 1
+    assert cones >= len(base)
+    _reduced_homology_key.cache_clear()
+
+
+def test_cones_build_no_chain_complex(monkeypatch):
+    calls = []
+
+    def counting(boundaries):
+        calls.append(len(boundaries))
+        return chain_homology(boundaries)
+
+    monkeypatch.setattr(simplicial, "chain_homology", counting)
+    S = SimplicialComplex
+    rp2 = S.from_maximal_faces(6, RP2)
+    star = S.from_maximal_faces(5, [[1, 2], [1, 3], [1, 4], [1, 5]])
+    cones = [S.simplex(k) for k in range(1, 7)]
+    cones += [star, _cone(S.cycle(5)), _cone(rp2), S.points(1)]
+    others = [S.cycle(4), S.points(2), rp2,
+              S.from_maximal_faces(4, [[1, 2, 3], [1, 2, 4], [1, 3, 4],
+                                       [2, 3, 4]]),
+              S.cycle(4).full_subcomplex([])]
+    cases = [(K, 0) for K in cones] + [(K, 1) for K in others]
+    try:
+        for K, want_calls in cases:
+            _reduced_homology_key.cache_clear()
+            calls.clear()
+            hs = reduced_homology(K)
+            assert len(calls) == want_calls, K
+            assert len(hs) == K.dim() + 2
+            if not want_calls:
+                assert all(h.is_trivial() for h in hs), K
+    finally:
+        _reduced_homology_key.cache_clear()
 
 def test_from_maximal_faces_rejects_boolean_vertices():
     with pytest.raises(ValueError, match="vertex True"):
