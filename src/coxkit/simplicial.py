@@ -10,7 +10,7 @@ bitmasks and loops over all 2^m vertex subsets stay feasible.
 from collections import deque
 from functools import lru_cache
 
-from .intlinalg import boundary_maps, chain_homology
+from .intlinalg import HomologyGroup, boundary_maps, chain_homology
 
 MAX_VERTICES = 24
 
@@ -415,7 +415,20 @@ def _reduced_homology_key(m, faces):
     by_size = {}
     for f in faces:
         by_size.setdefault(f.bit_count(), []).append(f)
-    levels = [sorted(by_size.get(k, ())) for k in range(max(by_size) + 1)]
+    top = max(by_size)
+    # A cone is contractible: every group is trivial.  An apex v lies in
+    # every face of the top size, and dropping v maps the faces through v
+    # one-to-one into the faces without it, onto exactly when every f | v
+    # is a face.  So v is an apex exactly when it lies in half of the faces.
+    apexes = -1
+    for f in by_size[top]:
+        apexes &= f
+    while apexes:
+        low = apexes & -apexes
+        if 2 * sum(map(low.__and__, faces)) == len(faces) * low:
+            return [HomologyGroup(0)] * (top + 1)
+        apexes ^= low
+    levels = [sorted(by_size.get(k, ())) for k in range(top + 1)]
     return chain_homology(boundary_maps(levels, _simplex_faces))
 
 
