@@ -132,10 +132,11 @@ class CubeComplex:
         return chi
 
     def homology(self):
-        """Exact integral cellular homology, one group per degree 0..dim."""
+        """Exact integral cellular homology, one group per degree 0..dim,
+        as a new list on each call."""
         if self._homology is None:
-            self._homology = chain_homology(self.boundaries)
-        return self._homology
+            self._homology = tuple(chain_homology(self.boundaries))
+        return list(self._homology)
 
     def loop_system(self):
         if self._loops is None:

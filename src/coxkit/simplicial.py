@@ -426,10 +426,10 @@ def _reduced_homology_key(m, faces):
     while apexes:
         low = apexes & -apexes
         if 2 * sum(map(low.__and__, faces)) == len(faces) * low:
-            return [HomologyGroup(0)] * (top + 1)
+            return (HomologyGroup(0),) * (top + 1)
         apexes ^= low
     levels = [sorted(by_size.get(k, ())) for k in range(top + 1)]
-    return chain_homology(boundary_maps(levels, _simplex_faces))
+    return tuple(chain_homology(boundary_maps(levels, _simplex_faces)))
 
 
 def reduced_homology(K):
@@ -438,6 +438,7 @@ def reduced_homology(K):
 
     The returned list is indexed from degree -1: ``result[0]`` is the
     degree -1 group (Z for the empty complex, trivial otherwise) and
-    ``result[k + 1]`` is the degree-k group.
+    ``result[k + 1]`` is the degree-k group.  Each call returns a new
+    list; the cache keeps its own tuple.
     """
-    return _reduced_homology_key(K.m, K.faces)
+    return list(_reduced_homology_key(K.m, K.faces))

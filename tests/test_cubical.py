@@ -9,7 +9,8 @@ from coxkit.cubical import (CubeComplex, basis_certificate, build,
                             fundamental_group_presentation, homology,
                             homology_splitting_check, word_class,
                             word_to_loop)
-from coxkit.intlinalg import IntMatrix, chain_homology, smith_normal_form
+from coxkit.intlinalg import (HomologyGroup, IntMatrix, chain_homology,
+                              smith_normal_form)
 from coxkit.simplicial import SimplicialComplex, clique_complex
 from coxkit.words import GroupSpec, commutator, generator, multiply
 from helpers import (RP2, all_complexes, cube_faces, entry, random_complex,
@@ -95,6 +96,16 @@ def test_cycle_surfaces():
         assert all(not h.torsion for h in hs)
         assert R.euler_characteristic() == 2 - 2 * genus
 
+
+
+def test_homology_returns_a_new_list():
+    R = CubeComplex(SimplicialComplex.cycle(4))
+    hs = R.homology()
+    want = [HomologyGroup(1), HomologyGroup(2), HomologyGroup(1)]
+    assert hs == want
+    hs.pop()
+    assert R.homology() == want
+    assert R.homology() is not R.homology()
 
 def test_cycle10_homology():
     # genus (m - 4) * 2 ** (m - 3) + 1 = 769, from a 1,024 x 5,120 and a

@@ -385,6 +385,19 @@ def test_cones_build_no_chain_complex(monkeypatch):
     finally:
         _reduced_homology_key.cache_clear()
 
+
+def test_reduced_homology_returns_a_new_list():
+    # the cache's answer must survive a caller that mutates the result
+    for K in (SimplicialComplex.cycle(4), SimplicialComplex.simplex(3)):
+        want = reduced_homology(K)
+        want_repr = repr(want)
+        got = reduced_homology(K)
+        got.pop()
+        got.append(None)
+        want.clear()
+        assert repr(reduced_homology(K)) == want_repr
+        assert reduced_homology(K) is not reduced_homology(K)
+
 def test_from_maximal_faces_rejects_boolean_vertices():
     with pytest.raises(ValueError, match="vertex True"):
         SimplicialComplex.from_maximal_faces(3, [[True, 3]])
