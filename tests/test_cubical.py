@@ -97,7 +97,6 @@ def test_cycle_surfaces():
         assert R.euler_characteristic() == 2 - 2 * genus
 
 
-
 def test_homology_returns_a_new_list():
     R = CubeComplex(SimplicialComplex.cycle(4))
     hs = R.homology()
@@ -106,6 +105,7 @@ def test_homology_returns_a_new_list():
     hs.pop()
     assert R.homology() == want
     assert R.homology() is not R.homology()
+
 
 def test_cycle10_homology():
     # genus (m - 4) * 2 ** (m - 3) + 1 = 769, from a 1,024 x 5,120 and a

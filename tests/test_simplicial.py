@@ -318,7 +318,6 @@ def test_reduced_homology_sphere_and_torsion():
     assert hs[3].is_trivial()
 
 
-
 def _cone(K):
     """The cone over K: vertex m + 1 added to every maximal face."""
     return SimplicialComplex.from_maximal_faces(
@@ -397,6 +396,7 @@ def test_reduced_homology_returns_a_new_list():
         want.clear()
         assert repr(reduced_homology(K)) == want_repr
         assert reduced_homology(K) is not reduced_homology(K)
+
 
 def test_from_maximal_faces_rejects_boolean_vertices():
     with pytest.raises(ValueError, match="vertex True"):
