@@ -1,3 +1,4 @@
+import hashlib
 import random
 from enum import IntEnum
 
@@ -320,6 +321,38 @@ def test_geometric_representation_matches_dense_letter_product():
         widest = max([widest] + [abs(x).bit_length() for r in product
                                  for x in r])
     assert widest > 64             # entries beyond machine words are covered
+
+
+def test_reflection_output_is_pinned():
+    # A digest of the reflection matrices of seeded RACG words: m 0-12, 16
+    # and 24, commuting densities 0, 0.4 and 0.8, lengths 0-4,000 with
+    # exponents -3..3; random words, w w^-1 and w w^-1 after a commuting
+    # shuffle.  Entries are hashed in hex: they pass the digit limit of
+    # decimal conversion.  A faster oracle must return the same matrices.
+    digest = hashlib.sha256()
+    rng = random.Random(2020)
+    words, widest = 0, 0
+    for m in list(range(13)) + [16, 24]:
+        for p in (0.0, 0.4, 0.8):
+            spec = GroupSpec.coxeter(random_graph(m, rng, p))
+            for kind in range(3):
+                n = 0 if not m or rng.random() < 0.1 else \
+                    rng.randint(1, 4000 if kind == 0 else 2000)
+                w = tuple((rng.randint(1, m), rng.randint(-3, 3))
+                          for _ in range(n))
+                if kind:
+                    inv = _inv_letters(w)
+                    w = _commuting_shuffle(w + inv, spec, rng) \
+                        if kind == 2 else w + inv
+                M = geometric_representation(w, spec)
+                digest.update(f"{m} {len(w)}:".encode())
+                for (r, c), x in sorted(M.items()):
+                    digest.update(f"{r},{c},{x:x};".encode())
+                    widest = max(widest, abs(x).bit_length())
+                words += 1
+    assert words == 135 and widest > 2000, (words, widest)
+    assert digest.hexdigest() == ("36a6ba90f4137a9fcc629ecc0d9071aa"
+                                  "c4b9a8ccfae83fbd1e40dcdb6efe5d8c")
 
 
 class _Small(IntEnum):
