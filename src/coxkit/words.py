@@ -39,7 +39,11 @@ element moves every point of the fundamental chamber of the dual
 reflection representation, so one integer vector per word decides it.
 :func:`geometric_representation` builds the full reflection matrix
 instead; it is the chamber test's own oracle in the tests and the
-selftest's.
+selftest's.  Each row of the matrix is one int, its entries in signed
+slots of a common width, so a letter costs |nc| + 2 operations on whole
+rows for the |nc| vertices not commuting with it; an exact test of the
+slots every few odd letters repacks them wider before an entry can
+overflow.
 """
 
 from heapq import heapify, heappop, heappush
@@ -367,6 +371,68 @@ def verify_swap(p, q, x, spec):
 # Geometric (reflection) representation for the all-orders-2 case
 # ---------------------------------------------------------------------------
 
+# The packed rows of geometric_representation: B, the odd letters between
+# two slot tests, and the headroom a packing leaves above the widest entry,
+# in units of the growth that B letters can cause.
+_CHECK_EVERY = 16
+_HEADROOM = 4
+
+
+def _ones(m, width):
+    """1 in each of m slots of ``width`` bits, a multiple of 8."""
+    return int.from_bytes((1).to_bytes(width >> 3, "little") * m, "little")
+
+
+def _pack(entries, width):
+    """One row as an int, entry j in the signed slot at bit j width."""
+    half = 1 << width - 1
+    return int.from_bytes(b"".join([(x + half).to_bytes(width >> 3, "little")
+                                    for x in entries]), "little") - \
+        (_ones(len(entries), width) << width - 1)
+
+
+def _unpack(r, m, width):
+    """The m signed entries of a packed row, lowest slot first."""
+    n = width >> 3
+    half = 1 << width - 1
+    y = r + (_ones(m, width) << width - 1)      # slots now in [0, 2^width)
+    if y < 0 or y >> m * width:
+        raise RuntimeError("a reflection matrix entry overflowed its slot")
+    b = y.to_bytes(m * n, "little")
+    return [int.from_bytes(b[k:k + n], "little") - half
+            for k in range(0, m * n, n)]
+
+
+def _packed(entries, growth):
+    """``(width, rows, low, high)``: the rows packed with ``_HEADROOM``
+    growth + 2 bits above the widest entry, rounded up to whole bytes, and
+    the masks of :func:`_slots_fit` for t = width - 1 - growth."""
+    widest = max([abs(x).bit_length() for row in entries for x in row],
+                 default=0)
+    width = widest + _HEADROOM * growth + 9 & -8
+    ones = _ones(len(entries), width)
+    t = width - 1 - growth
+    return (width, [_pack(row, width) for row in entries],
+            ones << t, (ones << width) - (ones << t + 1))
+
+
+def _slots_fit(rows, low, high):
+    """Whether every entry x of every packed row has |x| < 2^t.
+
+    ``low`` holds 2^t and ``high`` the bits t+1 .. width-1 in each slot,
+    t <= width - 2, and every |x| < 2^(width-1).  Slot j of r + low holds
+    x_j + 2^t.  If r + low >= 0 has no bit of ``high``, its base-2^width
+    digits lie in [0, 2^(t+1)); they differ from the slot values by less
+    than 2^width, so they are the slot values, and -2^t <= x_j < 2^t.  The
+    converse is plain, and low - r asks the same of -x_j."""
+    for r in rows:
+        a = r + low
+        b = low - r
+        if a < 0 or b < 0 or (a | b) & high:
+            return False
+    return True
+
+
 def geometric_representation(w, spec):
     """The image of ``w`` under the standard reflection representation.
 
@@ -378,9 +444,24 @@ def geometric_representation(w, spec):
     this is the package's independent word-problem oracle.
 
     Letters multiply in on the left, last first: an odd g_i sets only row
-    i, to 2 (sum of the |nc| rows not commuting with i) - row i, by m |nc|
-    additions in C (``sum``) and one m-entry comprehension.  It reads the
-    graph, not ``spec.noncommuting``, to share no code with normal_form.
+    i, to 2 (sum of the |nc| rows not commuting with i) - row i.  Each row
+    is one int, entry j in a signed slot of ``width`` bits at bit j width
+    (Kronecker substitution; Harvey, J. Symbolic Comput. 44, 2009).
+    Packing is linear, so a letter is that formula on whole rows: |nc| + 2
+    big-int operations in C, where entry by entry it was m (|nc| + 2) in
+    the interpreter.  It reads the graph, not ``spec.noncommuting``, to
+    share no code with normal_form.
+
+    The rows unpack exactly while every |entry| < 2^(width-1).  A letter
+    multiplies the largest |entry| by at most 2m - 1 < 2^g, g = (2m -
+    1).bit_length(), so B = ``_CHECK_EVERY`` odd letters multiply it by
+    less than 2^(B g).  A packing leaves ``_HEADROOM`` B g + 2 bits above
+    the widest entry, enough for ``_HEADROOM`` B letters.  After those,
+    every B odd letters :func:`_slots_fit` checks exactly that every
+    |entry| < 2^t, t = width - 1 - B g, which keeps the next B letters in
+    their slots; when it fails, the rows are unpacked and packed again
+    from their widest entry.  An entry left over above the top slot would
+    mean that argument failed, and raises RuntimeError.
 
     :func:`is_identity_chamber` decides the same question from one vector
     in O(|nc|) per letter, and ``certify`` uses it.  The matrix stays as
@@ -394,20 +475,26 @@ def geometric_representation(w, spec):
     m = spec.m
     noncomm = [[k for k in range(m) if k != i and not a >> k & 1]
                for i, a in enumerate(spec.graph.adj)]
-    rows = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    growth = _CHECK_EVERY * (2 * m - 1).bit_length()
+    width, rows, low, high = _packed(
+        [[int(i == j) for j in range(m)] for i in range(m)], growth)
+    left = _HEADROOM * _CHECK_EVERY
     for v, e in reversed(w):
         spec.check_letter(v, e)
         if e % 2:
             i = v - 1
-            nc = noncomm[i]
-            if nc:
-                rows[i] = [2 * s - x for x, s in zip(
-                    rows[i], map(sum, zip(*[rows[k] for k in nc])))]
-            else:
-                rows[i] = [-x for x in rows[i]]
+            rows[i] = (sum([rows[k] for k in noncomm[i]]) << 1) - rows[i]
+            left -= 1
+            if not left:
+                left = _CHECK_EVERY
+                if not _slots_fit(rows, low, high):
+                    width, rows, low, high = _packed(
+                        [_unpack(r, m, width) for r in rows], growth)
+                    left = _HEADROOM * _CHECK_EVERY
     # a product of reflections is invertible, so no row is empty
     return IntMatrix._from_rows(m, m, dict(enumerate(
-        {c: x for c, x in enumerate(row) if x} for row in rows)))
+        {c: x for c, x in enumerate(_unpack(r, m, width)) if x}
+        for r in rows)))
 
 
 def is_identity_chamber(w, spec):
