@@ -103,18 +103,20 @@ class CubeComplex:
 
     @property
     def cells(self):
+        """The cells per dimension, as new lists on each access."""
         if self._cells is None:
             n = 1 << self.m
-            self._cells = [[divmod(key, n) for key in self._keys(k)]
-                           for k in range(self.dim + 1)]
-        return self._cells
+            self._cells = tuple(tuple(divmod(key, n) for key in self._keys(k))
+                                for k in range(self.dim + 1))
+        return [list(level) for level in self._cells]
 
     @property
     def boundaries(self):
+        """The boundary matrices, as a new list on each access."""
         if self._boundaries is None:
-            self._boundaries = boundary_maps(
-                [self._keys(k) for k in range(self.dim + 1)], self._key_faces)
-        return self._boundaries
+            self._boundaries = tuple(boundary_maps(
+                [self._keys(k) for k in range(self.dim + 1)], self._key_faces))
+        return list(self._boundaries)
 
     def cell_counts(self):
         """Cells per dimension: each face with k vertices carries a cube

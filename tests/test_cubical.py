@@ -107,6 +107,27 @@ def test_homology_returns_a_new_list():
     assert R.homology() is not R.homology()
 
 
+def test_boundaries_returns_a_new_list():
+    R = CubeComplex(SimplicialComplex.cycle(4))
+    bs = R.boundaries
+    want = list(bs)
+    bs.pop()
+    assert R.boundaries == want
+    assert R.homology() == [HomologyGroup(1), HomologyGroup(2),
+                            HomologyGroup(1)]
+    assert R.boundaries is not R.boundaries
+
+
+def test_cells_returns_new_lists():
+    R = CubeComplex(SimplicialComplex.cycle(4))
+    cells = R.cells
+    cells[2].clear()
+    cells.pop()
+    assert [len(level) for level in R.cells] == R.cell_counts() == \
+        [16, 32, 16]
+    assert R.cells[2] is not R.cells[2]
+
+
 def test_cycle10_homology():
     # genus (m - 4) * 2 ** (m - 3) + 1 = 769, from a 1,024 x 5,120 and a
     # 5,120 x 2,560 boundary
