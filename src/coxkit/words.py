@@ -405,13 +405,16 @@ def _unpack(r, m, width):
 
 def _packed(entries, growth):
     """``(width, rows, low, high)``: the rows packed with ``_HEADROOM``
-    growth + 2 bits above the widest entry, rounded up to whole bytes, and
-    the masks of :func:`_slots_fit` for t = width - 1 - growth."""
+    growth + 2 bits above the widest entry, and the masks of
+    :func:`_slots_fit` for t = width - 1 - growth.  The slots are then
+    rounded up to whole bytes, for the byte-level pack and unpack; t
+    stays, so a slot test reads the same with or without those bits."""
     widest = max([abs(x).bit_length() for row in entries for x in row],
                  default=0)
-    width = widest + _HEADROOM * growth + 9 & -8
-    ones = _ones(len(entries), width)
+    width = widest + _HEADROOM * growth + 2
     t = width - 1 - growth
+    width = width + 7 & -8
+    ones = _ones(len(entries), width)
     return (width, [_pack(row, width) for row in entries],
             ones << t, (ones << width) - (ones << t + 1))
 
@@ -460,8 +463,9 @@ def geometric_representation(w, spec):
     every B odd letters :func:`_slots_fit` checks exactly that every
     |entry| < 2^t, t = width - 1 - B g, which keeps the next B letters in
     their slots; when it fails, the rows are unpacked and packed again
-    from their widest entry.  An entry left over above the top slot would
-    mean that argument failed, and raises RuntimeError.
+    from their widest entry.  (Slots are rounded up to whole bytes, and t
+    is taken before the rounding.)  An entry left over above the top slot
+    would mean that argument failed, and raises RuntimeError.
 
     :func:`is_identity_chamber` decides the same question from one vector
     in O(|nc|) per letter, and ``certify`` uses it.  The matrix stays as
