@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from coxkit import commutators, cubical, simplicial
+from coxkit import commutators, cubical, simplicial, words
 from coxkit.cli import DocumentError, main, parse_document
 from coxkit.intlinalg import IntMatrix
 from coxkit.simplicial import SimplicialComplex
@@ -287,6 +287,20 @@ def test_chordal_without_certificate_is_an_internal_error(
     code, out, err = run(capsys, "chordal", write(tmp_path, C4_DOC))
     assert code == 3 and out == ""
     assert err.splitlines()[-1].startswith("internal error: RuntimeError")
+
+
+
+def test_reflection_overflow_is_an_internal_error(capsys, monkeypatch):
+    # a corrupted packed row leaves a leftover above its top slot
+    unpack = words._unpack
+
+    def corrupt(r, m, width):
+        return unpack(r + (1 << m * width), m, width)
+    monkeypatch.setattr(words, "_unpack", corrupt)
+    for json_flag in ((), ("--json",)):
+        code, out, err = run(capsys, "selftest", "--trials", "5", *json_flag)
+        assert code == 3 and out == ""
+        assert err.splitlines()[-1].startswith("internal error: RuntimeError")
 
 
 def test_gens_without_top_component_is_an_internal_error(

@@ -1,9 +1,13 @@
 import hashlib
 import random
+import subprocess
+import sys
 from enum import IntEnum
+from pathlib import Path
 
 import pytest
 
+from coxkit import words as words_module
 from coxkit.cubical import build, word_to_loop
 from coxkit.simplicial import Graph, SimplicialComplex
 from coxkit.words import (CommutatorExpr, GroupSpec, abelianization,
@@ -353,6 +357,93 @@ def test_reflection_output_is_pinned():
     assert words == 135 and widest > 2000, (words, widest)
     assert digest.hexdigest() == ("36a6ba90f4137a9fcc629ecc0d9071aa"
                                   "c4b9a8ccfae83fbd1e40dcdb6efe5d8c")
+
+
+
+def _reflection_reference(w, spec):
+    """The dense product of the letter matrices of ``w``, left to right."""
+    m = spec.m
+    factors = []
+    for v, e in w:
+        f = [[int(i == j) for j in range(m)] for i in range(m)]
+        if e % 2:
+            f[v - 1] = [-1 if j == v - 1 else
+                        0 if spec.graph.adj[v - 1] >> j & 1 else 2
+                        for j in range(m)]
+        factors.append(f)
+    return _dense_product(factors, m)
+
+
+def test_reflection_repacks_at_the_smallest_constants(monkeypatch):
+    # one odd letter between slot tests and one letter of headroom, so a
+    # slot test fails, and the rows are repacked, whenever the widest entry
+    # has gained a bit: at about half the checkpoints on the free groups
+    monkeypatch.setattr(words_module, "_CHECK_EVERY", 1)
+    monkeypatch.setattr(words_module, "_HEADROOM", 1)
+    fit = words_module._slots_fit
+    seen = {True: 0, False: 0}
+
+    def counted(rows, low, high):
+        ok = fit(rows, low, high)
+        seen[ok] += 1
+        return ok
+    monkeypatch.setattr(words_module, "_slots_fit", counted)
+    rng = random.Random(2022)
+    hub = [(3, v) for v in (1, 2, 4, 5)] + [(1, 2)]    # 3 commutes with all
+    specs = [GroupSpec.coxeter(g) for g in
+             (Graph(1, []), Graph(2, []), Graph(5, hub), Graph(6, []),
+              random_graph(7, rng, 0.3), Graph(10, []))]
+    for spec in specs:
+        m = spec.m
+        cases = [(), ((1, 2),), ((1, -1),), ((1, 4), (1, -3), (m, 1))]
+        cases += [tuple((rng.randint(1, m), rng.randint(-3, 3))
+                        for _ in range(rng.randint(1, 150)))
+                  for _ in range(6)]
+        for w in cases:
+            assert dense(geometric_representation(w, spec)) == \
+                _reflection_reference(w, spec), (w, spec.graph.adj)
+    assert seen[False] > 300 and seen[True] > 0, seen
+
+
+def test_slot_test_is_exact_on_crafted_rows():
+    rng = random.Random(2023)
+    for m in (1, 2, 5):
+        for growth in (1, 5, 40):
+            width, _, low, high = words_module._packed([[0] * m] * m, growth)
+            t = (low & -low).bit_length() - 1
+            assert t <= width - 1 - growth
+            edge = (1 << t) - 1
+            for bad in (0, 1, -1, edge, -edge, edge + 1, -edge - 1):
+                for j in range(m):          # j = m - 1 is the top slot
+                    rows = [[rng.randint(-edge, edge) for _ in range(m)]
+                            for _ in range(m)]
+                    k = rng.randrange(m)
+                    rows[k][j] = bad
+                    packed = [words_module._pack(r, width) for r in rows]
+                    assert [words_module._unpack(r, m, width)
+                            for r in packed] == rows
+                    assert words_module._slots_fit(packed, low, high) == \
+                        (abs(bad) <= edge), (m, growth, bad, j)
+
+
+def test_slot_overflow_is_a_runtime_error(monkeypatch):
+    # a leftover above the top slot after unpacking
+    unpack = words_module._unpack
+
+    def corrupt(r, m, width):
+        return unpack(r + (1 << m * width), m, width)
+    monkeypatch.setattr(words_module, "_unpack", corrupt)
+    with pytest.raises(RuntimeError, match="overflowed its slot"):
+        geometric_representation(((1, 1), (2, 1)), FREE2)
+    # a raise, not an assert: it also fires under python -O
+    src = Path(__file__).resolve().parents[1] / "src"
+    check = ("import sys; sys.path.insert(0, sys.argv[1]); "
+             "from coxkit.words import _unpack\n"
+             "try: _unpack(1 << 64, 2, 32)\n"
+             "except RuntimeError: sys.exit(0)\n"
+             "sys.exit(1)")
+    assert subprocess.run([sys.executable, "-O", "-c", check, str(src)],
+                          timeout=60).returncode == 0
 
 
 class _Small(IntEnum):
