@@ -43,7 +43,7 @@ selftest's.  Each row of the matrix is one int, its entries in signed
 slots of a common width, so a letter costs |nc| + 2 operations on whole
 rows for the |nc| vertices not commuting with it; an exact test of the
 slots every few odd letters repacks them wider before an entry can
-overflow.
+overflow, and narrower once the entries have shrunk.
 """
 
 from heapq import heapify, heappop, heappush
@@ -404,19 +404,24 @@ def _unpack(r, m, width):
 
 
 def _packed(entries, growth):
-    """``(width, rows, low, high)``: the rows packed with ``_HEADROOM``
+    """``(width, rows, grow, shrink)``: the rows packed with ``_HEADROOM``
     growth + 2 bits above the widest entry, and the masks of
-    :func:`_slots_fit` for t = width - 1 - growth.  The slots are then
-    rounded up to whole bytes, for the byte-level pack and unpack; t
-    stays, so a slot test reads the same with or without those bits."""
+    :func:`_slots_fit` for t = width - 1 - growth (``grow``) and for
+    t - 2 ``_HEADROOM`` growth (``shrink``), below which the rows could
+    be packed narrower.  The slots are then rounded up to whole bytes, for
+    the byte-level pack and unpack; t stays, so a slot test reads the same
+    with or without those bits."""
     widest = max([abs(x).bit_length() for row in entries for x in row],
                  default=0)
     width = widest + _HEADROOM * growth + 2
     t = width - 1 - growth
     width = width + 7 & -8
     ones = _ones(len(entries), width)
-    return (width, [_pack(row, width) for row in entries],
-            ones << t, (ones << width) - (ones << t + 1))
+
+    def masks(t):
+        return ones << t, (ones << width) - (ones << t + 1)
+    return (width, [_pack(row, width) for row in entries], masks(t),
+            masks(max(t - 2 * _HEADROOM * growth, 0)))
 
 
 def _slots_fit(rows, low, high):
@@ -451,8 +456,8 @@ def geometric_representation(w, spec):
     is one int, entry j in a signed slot of ``width`` bits at bit j width
     (Kronecker substitution; Harvey, J. Symbolic Comput. 44, 2009).
     Packing is linear, so a letter is that formula on whole rows: |nc| + 2
-    big-int operations in C, where entry by entry it was m (|nc| + 2) in
-    the interpreter.  It reads the graph, not ``spec.noncommuting``, to
+    big-int operations in C, where entry by entry it would be m (|nc| + 2)
+    in the interpreter.  It reads the graph, not ``spec.noncommuting``, to
     share no code with normal_form.
 
     The rows unpack exactly while every |entry| < 2^(width-1).  A letter
@@ -464,8 +469,10 @@ def geometric_representation(w, spec):
     |entry| < 2^t, t = width - 1 - B g, which keeps the next B letters in
     their slots; when it fails, the rows are unpacked and packed again
     from their widest entry.  (Slots are rounded up to whole bytes, and t
-    is taken before the rounding.)  An entry left over above the top slot
-    would mean that argument failed, and raises RuntimeError.
+    is taken before the rounding.)  They are packed again narrower when
+    every |entry| is below 2^(t - 2 ``_HEADROOM`` B g), as in the second
+    half of w w^-1.  An entry left over above the top slot would mean that
+    the argument failed, and raises RuntimeError.
 
     :func:`is_identity_chamber` decides the same question from one vector
     in O(|nc|) per letter, and ``certify`` uses it.  The matrix stays as
@@ -480,7 +487,7 @@ def geometric_representation(w, spec):
     noncomm = [[k for k in range(m) if k != i and not a >> k & 1]
                for i, a in enumerate(spec.graph.adj)]
     growth = _CHECK_EVERY * (2 * m - 1).bit_length()
-    width, rows, low, high = _packed(
+    width, rows, grow, shrink = _packed(
         [[int(i == j) for j in range(m)] for i in range(m)], growth)
     left = _HEADROOM * _CHECK_EVERY
     for v, e in reversed(w):
@@ -491,8 +498,8 @@ def geometric_representation(w, spec):
             left -= 1
             if not left:
                 left = _CHECK_EVERY
-                if not _slots_fit(rows, low, high):
-                    width, rows, low, high = _packed(
+                if not _slots_fit(rows, *grow) or _slots_fit(rows, *shrink):
+                    width, rows, grow, shrink = _packed(
                         [_unpack(r, m, width) for r in rows], growth)
                     left = _HEADROOM * _CHECK_EVERY
     # a product of reflections is invertible, so no row is empty

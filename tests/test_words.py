@@ -375,41 +375,47 @@ def _reflection_reference(w, spec):
 
 
 def test_reflection_repacks_at_the_smallest_constants(monkeypatch):
-    # one odd letter between slot tests and one letter of headroom, so a
-    # slot test fails, and the rows are repacked, whenever the widest entry
-    # has gained a bit: at about half the checkpoints on the free groups
+    # one odd letter between slot tests and one letter of headroom: the
+    # rows are packed again wider whenever the widest entry has gained a
+    # bit, and narrower once it has lost 2 g + 1 bits, as in w w^-1
     monkeypatch.setattr(words_module, "_CHECK_EVERY", 1)
     monkeypatch.setattr(words_module, "_HEADROOM", 1)
-    fit = words_module._slots_fit
-    seen = {True: 0, False: 0}
+    packed = words_module._packed
+    widths = []
 
-    def counted(rows, low, high):
-        ok = fit(rows, low, high)
-        seen[ok] += 1
-        return ok
-    monkeypatch.setattr(words_module, "_slots_fit", counted)
+    def counted(entries, growth):
+        out = packed(entries, growth)
+        widths.append(out[0])
+        return out
+    monkeypatch.setattr(words_module, "_packed", counted)
     rng = random.Random(2022)
     hub = [(3, v) for v in (1, 2, 4, 5)] + [(1, 2)]    # 3 commutes with all
     specs = [GroupSpec.coxeter(g) for g in
              (Graph(1, []), Graph(2, []), Graph(5, hub), Graph(6, []),
               random_graph(7, rng, 0.3), Graph(10, []))]
+    grew = shrank = 0
     for spec in specs:
         m = spec.m
         cases = [(), ((1, 2),), ((1, -1),), ((1, 4), (1, -3), (m, 1))]
-        cases += [tuple((rng.randint(1, m), rng.randint(-3, 3))
-                        for _ in range(rng.randint(1, 150)))
-                  for _ in range(6)]
+        for _ in range(6):
+            w = tuple((rng.randint(1, m), rng.randint(-3, 3))
+                      for _ in range(rng.randint(1, 150)))
+            cases += [w, w + _inv_letters(w)]
         for w in cases:
+            del widths[:]
             assert dense(geometric_representation(w, spec)) == \
                 _reflection_reference(w, spec), (w, spec.graph.adj)
-    assert seen[False] > 300 and seen[True] > 0, seen
+            grew += sum(map(int.__lt__, widths, widths[1:]))
+            shrank += sum(map(int.__gt__, widths, widths[1:]))
+    assert grew > 200 and shrank > 50, (grew, shrank)
 
 
 def test_slot_test_is_exact_on_crafted_rows():
     rng = random.Random(2023)
     for m in (1, 2, 5):
         for growth in (1, 5, 40):
-            width, _, low, high = words_module._packed([[0] * m] * m, growth)
+            width, _, (low, high), _ = words_module._packed([[0] * m] * m,
+                                                            growth)
             t = (low & -low).bit_length() - 1
             assert t <= width - 1 - growth
             edge = (1 << t) - 1
