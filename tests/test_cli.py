@@ -289,7 +289,6 @@ def test_chordal_without_certificate_is_an_internal_error(
     assert err.splitlines()[-1].startswith("internal error: RuntimeError")
 
 
-
 def test_reflection_overflow_is_an_internal_error(capsys, monkeypatch):
     # a corrupted packed row leaves a leftover above its top slot
     unpack = words._unpack

@@ -359,7 +359,6 @@ def test_reflection_output_is_pinned():
                                   "c4b9a8ccfae83fbd1e40dcdb6efe5d8c")
 
 
-
 def _reflection_reference(w, spec):
     """The dense product of the letter matrices of ``w``, left to right."""
     m = spec.m
