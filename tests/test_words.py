@@ -376,7 +376,7 @@ def _reflection_reference(w, spec):
 def test_reflection_repacks_at_the_smallest_constants(monkeypatch):
     # one odd letter between slot tests and one letter of headroom: the
     # rows are packed again wider whenever the widest entry has gained a
-    # bit, and narrower once it has lost 2 g + 1 bits, as in w w^-1
+    # bit, and narrower once it has lost 2 g - 1 bits, as in w w^-1
     monkeypatch.setattr(words_module, "_CHECK_EVERY", 1)
     monkeypatch.setattr(words_module, "_HEADROOM", 1)
     packed = words_module._packed
