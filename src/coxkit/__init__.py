@@ -13,10 +13,9 @@ from .intlinalg import (ChainComplexError, HomologyGroup, IntMatrix,
                         chain_homology, direct_sum, smith_normal_form)
 from .simplicial import (Chordality, Graph, SimplicialComplex, clique_complex,
                          is_chordal, is_flag, reduced_homology)
-from .words import (CommutatorExpr, GroupSpec, abelianization, commutator,
-                    evaluate, generator, geometric_representation,
-                    is_identity, is_identity_chamber, is_identity_matrix,
-                    multiply, normal_form, random_word, verify_hall,
-                    verify_swap)
+from .words import (GroupSpec, abelianization, commutator, evaluate,
+                    generator, geometric_representation, is_identity,
+                    is_identity_chamber, is_identity_matrix, multiply,
+                    normal_form, random_word, verify_hall, verify_swap)
 
 __version__ = "0.1.0"

@@ -276,7 +276,8 @@ def main(argv=None):
 
     add("flag", cmd_flag, "is the complex flag? witness on failure")
     add("chordal", cmd_chordal,
-        "is the 1-skeleton chordal? elimination ordering or cycle witness")
+        "is the 1-skeleton chordal? perfect elimination ordering, read "
+        "backwards (earlier neighbours form a clique), or cycle witness")
     gens = add("gens", cmd_gens,
                "minimal commutator-subgroup generators")
     gens.add_argument("--words", action="store_true",

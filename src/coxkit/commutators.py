@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .simplicial import _bits, _components_masks, is_chordal, is_flag
 # ``evaluate`` stays a name of this module: the benchmark's spans wrap it here
-from .words import CommutatorExpr, GroupSpec, commutator, evaluate, generator
+from .words import GroupSpec, commutator, evaluate, generator
 
 
 class NotFlagError(ValueError):
@@ -70,7 +70,7 @@ class CommutatorGenerator:
 
     def word(self, spec):
         """The generator expanded to a normalised word of ``spec``."""
-        return evaluate(CommutatorExpr.from_nested(self.nested()), spec)
+        return evaluate(self.nested(), spec)
 
     def __str__(self):
         s = f"(g{self.j},g{self.i})"

@@ -332,8 +332,9 @@ def _find_chordless_cycle(graph):
 
 
 class Chordality:
-    """Result of a chordality test: either a perfect elimination ordering
-    or a chordless cycle with >= 4 vertices."""
+    """Result of a chordality test: either ``ordering``, a perfect
+    elimination ordering read backwards (see :func:`is_chordal`), or a
+    chordless cycle with >= 4 vertices."""
 
     __slots__ = ("chordal", "ordering", "cycle")
 
@@ -354,15 +355,21 @@ class Chordality:
 def is_chordal(graph):
     """Chordality via maximum cardinality search.
 
-    MCS numbers vertices m..1, always taking an unnumbered vertex with the
-    most numbered neighbours.  The resulting order (position 1 first) is a
-    perfect elimination ordering iff the graph is chordal: each vertex's
-    earlier neighbours must form a clique.  On failure a chordless cycle
-    is located as a certificate.
+    MCS visits the vertices one by one, always taking an unvisited vertex
+    with the most visited neighbours; the graph is chordal iff each
+    vertex's earlier neighbours in this visit order form a clique.
+    ``ordering`` is the visit order: under the usual convention (Rose;
+    Tarjan-Yannakakis: each vertex simplicial among the later ones), a
+    perfect elimination ordering read backwards, as 4, 3, 2, 1 below.  On
+    failure a chordless cycle is located as a certificate.
+
+    >>> K = SimplicialComplex.from_maximal_faces(4, [[1, 2, 3], [1, 4]])
+    >>> is_chordal(K.one_skeleton()).ordering
+    (1, 2, 3, 4)
     """
     m = graph.m
     weight = [0] * m
-    position = [0] * m          # 1-based position in elimination order
+    position = [0] * m          # 1-based position in visit order
     order = [0] * m
     unnumbered = set(range(m))
     for slot in range(1, m + 1):

@@ -33,6 +33,10 @@ an adjacent swappable pair.  The extraction above looks past such pairs
 because a letter is free once everything before it commutes with it, not
 only its neighbour.
 
+:func:`evaluate` takes a nested commutator in the nested-array form that
+``coxkit gens`` prints, e.g. [2, [4, 1]] for (g_2, (g_4, g_1)), and
+returns its normal form.
+
 For the all-orders-2 case, :func:`is_identity_chamber` is an independent
 exact-integer check of the word problem: by Tits' lemma a nontrivial
 element moves every point of the fundamental chamber of the dual
@@ -242,75 +246,31 @@ def commutator(u, v, spec):
     return normal_form(_inverse_letters(v + u, spec) + u + v, spec)
 
 
-# ---------------------------------------------------------------------------
-# Nested commutator expressions
-# ---------------------------------------------------------------------------
-
-class CommutatorExpr:
-    """A commutator expression tree in nested form.
-
-    Leaves are generators; an internal node is the commutator of its
-    children, and at most one child of each node may itself be internal
-    (no commutator of two commutators).
-    """
-
-    __slots__ = ("left", "right")
-
-    def __init__(self, left, right):
-        for side in (left, right):
-            if not isinstance(side, (int, CommutatorExpr)):
-                raise ValueError("children must be vertices or expressions")
-        if isinstance(left, CommutatorExpr) and \
-                isinstance(right, CommutatorExpr):
+def evaluate(nested, spec):
+    """Normal form of a nested commutator in the nested-array form that
+    ``coxkit gens`` prints, [2, [4, 1]] for (g_2, (g_4, g_1)); a pair is a
+    list or tuple, a bare vertex v is g_v.  At most one side of a pair is
+    a pair, so the pairs form one path: walk down it, then apply
+    :func:`commutator` back up, innermost pair first."""
+    path = []                   # per pair: its leaf, and whether it is left
+    while isinstance(nested, (list, tuple)):
+        if len(nested) != 2:
+            raise ValueError(f"bad commutator serialisation: a pair has 2 "
+                             f"entries, not {len(nested)}")
+        left, right = nested
+        leaf_left = not isinstance(left, (list, tuple))
+        if not leaf_left and isinstance(right, (list, tuple)):
             raise ValueError("nested form forbids a commutator of two "
                              "commutators")
-        self.left = left
-        self.right = right
-
-    @classmethod
-    def from_nested(cls, nested):
-        """Build from the nested-array serialisation, e.g. [2, [4, 1]]
-        for (g_2, (g_4, g_1))."""
-        path = []                   # the nested pairs above ``nested``
-        while not isinstance(nested, int):
-            if not isinstance(nested, (list, tuple)) or len(nested) != 2:
-                raise ValueError(f"bad commutator serialisation {nested!r}")
-            path.append(nested)
-            left, right = nested
-            nested = right if isinstance(left, int) else left
-        for left, right in reversed(path):
-            nested = cls(left, nested) if isinstance(left, int) \
-                else cls(nested, right)
-        return nested
-
-    def _fold(self, leaf, node):
-        """``node(left, right)`` from the innermost commutator out, with
-        ``leaf(v)`` for a vertex and the value so far for the inner one.
-        At most one child of each node is internal: the tree is a path."""
-        path, expr = [], self
-        while isinstance(expr, CommutatorExpr):
-            path.append(expr)
-            expr = expr.left if isinstance(expr.left, CommutatorExpr) \
-                else expr.right
-        value = None
-        for expr in reversed(path):
-            value = node(*(leaf(side) if isinstance(side, int) else value
-                           for side in (expr.left, expr.right)))
-        return value
-
-    def __repr__(self):
-        return self._fold(lambda v: f"g{v}", lambda a, b: f"({a}, {b})")
-
-
-def evaluate(expr, spec):
-    """Normal form of a commutator expression (a leaf is just g_v)."""
-    def leaf(v):
-        spec.check_vertex(v)
-        return generator(v)         # its own normal form: no order is 1
-
-    if not isinstance(expr, CommutatorExpr):
-        return leaf(expr)
-    return expr._fold(leaf, lambda a, b: commutator(a, b, spec))
+        leaf, nested = (left, right) if leaf_left else (right, left)
+        spec.check_vertex(leaf)
+        path.append((generator(leaf), leaf_left))
+    spec.check_vertex(nested)
+    value = generator(nested)   # its own normal form: no order is 1
+    for leaf, leaf_left in reversed(path):
+        value = commutator(leaf, value, spec) if leaf_left \
+            else commutator(value, leaf, spec)
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -72,20 +72,6 @@ def components(K):
     return sorted(comps, key=lambda c: c[0])
 
 
-def to_nested(expr):
-    """The nested-array form of a CommutatorExpr, e.g. [2, [3, 1]] for
-    (g_2, (g_3, g_1)).  At most one child of each node is a commutator,
-    so the tree is one path: walk down it, then build from the bottom."""
-    path = []
-    while not isinstance(expr, int):
-        path.append(expr)
-        expr = expr.right if isinstance(expr.left, int) else expr.left
-    for node in reversed(path):
-        expr = [node.left, expr] if isinstance(node.left, int) \
-            else [expr, node.right]
-    return expr
-
-
 def cube_faces(cell):
     """The boundary of a cube-model cell ``(free, signs)`` as ((free,
     signs), sign) pairs: for the t-th free coordinate i, from the lowest,

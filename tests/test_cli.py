@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -12,6 +13,7 @@ from coxkit import commutators, cubical, simplicial, words
 from coxkit.cli import DocumentError, main, parse_document
 from coxkit.intlinalg import IntMatrix
 from coxkit.simplicial import SimplicialComplex
+from helpers import random_complex
 
 PATH4_DOC = '{"m": 4, "maximal_faces": [[1,2],[2,3],[4]]}'
 C4_DOC = '{m: 4, maximal_faces: [[1,2],[2,3],[3,4],[4,1]]}'
@@ -74,6 +76,24 @@ def test_gens_words(tmp_path, capsys):
     doc = json.loads(out)
     assert len(doc["words"]) == doc["count"] == 2
     assert all(word for word in doc["words"])
+
+
+def test_gens_arrays_evaluate_to_their_words(tmp_path, capsys):
+    # every nested array of `gens --words --json`, read back from the JSON,
+    # evaluates to the word printed beside it
+    for K in (parse_document(PATH4_DOC), SimplicialComplex.points(4),
+              SimplicialComplex.cycle(5), random_complex(6, random.Random(6))):
+        doc = json.dumps({"m": K.m, "maximal_faces": K.maximal_faces()})
+        code, out, _ = run(capsys, "gens", "--words", "--json",
+                           write(tmp_path, doc))
+        reply = json.loads(out)
+        spec = commutators.coxeter_spec(K)
+        assert code == 0 and reply["count"] > 0
+        assert len(reply["generators"]) == len(reply["words"]) == \
+            reply["count"]
+        for nested, word in zip(reply["generators"], reply["words"]):
+            assert [list(letter) for letter in words.evaluate(nested, spec)] \
+                == word, nested
 
 
 def test_round_trip(tmp_path, capsys):

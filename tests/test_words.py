@@ -10,12 +10,11 @@ import pytest
 from coxkit import words as words_module
 from coxkit.cubical import build, word_to_loop
 from coxkit.simplicial import Graph, SimplicialComplex
-from coxkit.words import (CommutatorExpr, GroupSpec, abelianization,
-                          commutator, evaluate, generator,
-                          geometric_representation, is_identity,
+from coxkit.words import (GroupSpec, abelianization, commutator, evaluate,
+                          generator, geometric_representation, is_identity,
                           is_identity_chamber, is_identity_matrix, multiply,
                           normal_form, random_word, verify_hall, verify_swap)
-from helpers import dense, inverse, random_graph, to_nested
+from helpers import dense, inverse, random_graph
 
 FREE2 = GroupSpec.coxeter(Graph(2, []))
 EDGE2 = GroupSpec.coxeter(Graph(2, [(1, 2)]))
@@ -149,14 +148,14 @@ def test_commutator_examples():
 
 
 def test_commutator_expr():
-    expr = CommutatorExpr.from_nested([2, [3, 1]])
     inner = commutator(generator(3), generator(1), FREE3)
-    assert evaluate(expr, FREE3) == commutator(generator(2), inner, FREE3)
-    assert to_nested(expr) == [2, [3, 1]]
+    assert evaluate([2, [3, 1]], FREE3) == \
+        commutator(generator(2), inner, FREE3)
+    assert evaluate((2, (3, 1)), FREE3) == evaluate([2, [3, 1]], FREE3)
     with pytest.raises(ValueError):
-        CommutatorExpr(CommutatorExpr(1, 2), CommutatorExpr(3, 1))
+        evaluate([[1, 2], [3, 1]], FREE3)
     with pytest.raises(ValueError):
-        CommutatorExpr.from_nested([1, 2, 3])
+        evaluate([1, 2, 3], FREE3)
 
 
 def _nested_path(depth, rng, m=3):
@@ -167,21 +166,6 @@ def _nested_path(depth, rng, m=3):
     return nested
 
 
-def _spine(nested):
-    """A nested path as a flat list, read without recursion (comparing
-    deep lists with == recurses once per level)."""
-    out = []
-    while not isinstance(nested, int):
-        left, right = nested
-        if isinstance(left, int):
-            out.append(("L", left))
-            nested = right
-        else:
-            out.append(("R", right))
-            nested = left
-    return out + [nested]
-
-
 def test_commutator_expr_matches_recursive_evaluation():
     def reference(nested):
         if isinstance(nested, int):
@@ -190,36 +174,31 @@ def test_commutator_expr_matches_recursive_evaluation():
 
     rng = random.Random(3)
     assert evaluate(2, FREE3) == generator(2)
-    assert repr(CommutatorExpr.from_nested([2, [3, 1]])) == "(g2, (g3, g1))"
     for depth in range(1, 7):
         for _ in range(6):
             nested = _nested_path(depth, rng)
-            expr = CommutatorExpr.from_nested(nested)
-            assert to_nested(expr) == nested
-            assert evaluate(expr, FREE3) == reference(nested)
+            assert evaluate(nested, FREE3) == reference(nested)
 
 
 def test_commutator_expr_3000_deep():
     abelian = GroupSpec.coxeter(Graph(3, [(1, 2), (1, 3), (2, 3)]))
     nested = _nested_path(3000, random.Random(4))
-    expr = CommutatorExpr.from_nested(nested)
-    assert _spine(to_nested(expr)) == _spine(nested)
-    text = repr(expr)
-    assert text.count("g") == 3001 and text.count("(") == 3000
-    assert evaluate(expr, abelian) == ()
-    assert evaluate(expr, GroupSpec.artin(abelian.graph)) == ()
+    assert evaluate(nested, abelian) == ()
+    assert evaluate(nested, GroupSpec.artin(abelian.graph)) == ()
     bad = [1, 2, 3]
     for _ in range(3000):
         bad = [bad, 2]
     with pytest.raises(ValueError):
-        CommutatorExpr.from_nested(bad)
+        evaluate(bad, abelian)
+    with pytest.raises(ValueError, match="serialisation"):
+        evaluate([nested, 1, 2], abelian)   # its message reprs no deep list
     with pytest.raises(ValueError):
-        evaluate(CommutatorExpr.from_nested([[1, 9], 2]), abelian)
+        evaluate([[1, 9], 2], abelian)
     deep_bad_vertex = 9
     for _ in range(3000):
         deep_bad_vertex = [1, deep_bad_vertex]
     with pytest.raises(ValueError):
-        evaluate(CommutatorExpr.from_nested(deep_bad_vertex), abelian)
+        evaluate(deep_bad_vertex, abelian)
 
 
 def test_hall_and_swap_identities():
@@ -299,10 +278,23 @@ def _dense_product(factors, m):
     return out
 
 
+def _reflection_reference(w, spec):
+    """The dense product of the letter matrices of ``w``, left to right;
+    letter g_i is the identity with row i set to -1 at i and 2 at every
+    vertex not commuting with i."""
+    m = spec.m
+    factors = []
+    for v, e in w:
+        f = [[int(i == j) for j in range(m)] for i in range(m)]
+        if e % 2:
+            f[v - 1] = [-1 if j == v - 1 else
+                        0 if spec.graph.adj[v - 1] >> j & 1 else 2
+                        for j in range(m)]
+        factors.append(f)
+    return _dense_product(factors, m)
+
+
 def test_geometric_representation_matches_dense_letter_product():
-    # reference: the product, left to right, of the dense letter matrices;
-    # letter g_i is the identity with row i set to -1 at i and 2 at every
-    # vertex not commuting with i
     rng = random.Random(5301)
     widest = 0
     for _ in range(120):
@@ -312,15 +304,7 @@ def test_geometric_representation_matches_dense_letter_product():
         spec = GroupSpec.coxeter(Graph(m, edges))
         w = tuple((rng.randint(1, m), rng.randint(-3, 3))
                   for _ in range(rng.randint(0, 200)))
-        factors = []
-        for v, e in w:
-            f = [[int(i == j) for j in range(m)] for i in range(m)]
-            if e % 2:
-                f[v - 1] = [-1 if j == v - 1 else
-                            0 if spec.graph.adj[v - 1] >> j & 1 else 2
-                            for j in range(m)]
-            factors.append(f)
-        product = _dense_product(factors, m)
+        product = _reflection_reference(w, spec)
         assert dense(geometric_representation(w, spec)) == product
         widest = max([widest] + [abs(x).bit_length() for r in product
                                  for x in r])
@@ -357,20 +341,6 @@ def test_reflection_output_is_pinned():
     assert words == 135 and widest > 2000, (words, widest)
     assert digest.hexdigest() == ("36a6ba90f4137a9fcc629ecc0d9071aa"
                                   "c4b9a8ccfae83fbd1e40dcdb6efe5d8c")
-
-
-def _reflection_reference(w, spec):
-    """The dense product of the letter matrices of ``w``, left to right."""
-    m = spec.m
-    factors = []
-    for v, e in w:
-        f = [[int(i == j) for j in range(m)] for i in range(m)]
-        if e % 2:
-            f[v - 1] = [-1 if j == v - 1 else
-                        0 if spec.graph.adj[v - 1] >> j & 1 else 2
-                        for j in range(m)]
-        factors.append(f)
-    return _dense_product(factors, m)
 
 
 def test_reflection_repacks_at_the_smallest_constants(monkeypatch):
@@ -486,15 +456,13 @@ def test_letter_checks_at_every_entry_point():
         enum = ((_Small.THREE, 1), (_Small.ONE, 1), (3, _Small.ONE),
                 (1, _Small.THREE))
         assert call(enum) == call(plain), name
-    # evaluate takes vertices only, at the top and inside an expression
+    # evaluate takes vertices only, at the top and inside a pair
     for bad in bad_vertices:
-        with pytest.raises(ValueError, match="vertex"):
-            evaluate(bad, spec)
-        if isinstance(bad, int):
+        for nested in (bad, [bad, 1], [1, bad]):
             with pytest.raises(ValueError, match="vertex"):
-                evaluate(CommutatorExpr(bad, 1), spec)
-    assert evaluate(CommutatorExpr(_Small.THREE, _Small.ONE), spec) == \
-        evaluate(CommutatorExpr(3, 1), spec)
+                evaluate(nested, spec)
+    assert evaluate([_Small.THREE, _Small.ONE], spec) == \
+        evaluate([3, 1], spec)
     assert evaluate(_Small.TWO, spec) == evaluate(2, spec)
 
 
