@@ -6,8 +6,11 @@ nonzero entries only, and is built, multiplied and reduced in that format:
 the boundary matrices made in this package are large but very sparse.
 Smith reduction uses row operations only: +-1 pivots first, sparsest column
 first, which barely fills them in, then Euclidean pivots on the (usually
-tiny) remainder that holds no unit.  Homology clears from each boundary
-the rows that unit pivots of the one below settled (:func:`chain_homology`).
+tiny) remainder that holds no unit.  A graph's incidence matrix, such as
+d_1 of every cube model, needs no elimination: a spanning forest gives its
+factors and unit pivots (:func:`smith_normal_form`).  Homology clears from
+each boundary the rows that unit pivots of the one below settled
+(:func:`chain_homology`).
 """
 
 import heapq
@@ -82,6 +85,8 @@ class IntMatrix:
         return not self._row
 
     def __matmul__(self, other):
+        if not isinstance(other, IntMatrix):
+            return NotImplemented
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ "
                              f"{other.rows}x{other.cols}")
@@ -393,6 +398,34 @@ class _Reduction:
                     heappush(heap, (abs(w), r2, c2))
 
 
+def _incidence_forest(mat):
+    """The columns of a spanning forest of the graph whose incidence matrix
+    is ``mat``, taken by union-find in index order (Kruskal), when ``mat``
+    has a column and every column holds one +1, one -1 and nothing else;
+    None for any other matrix.  2 * cols nonzeros, of which a +1 and a -1
+    in each column, leave room for nothing else."""
+    cols = mat.cols
+    if not cols or mat.nnz() != 2 * cols:
+        return None
+    rows = mat._row.items()
+    head = {c: r for r, e in rows for c, v in e.items() if v == 1}
+    tail = {c: r for r, e in rows for c, v in e.items() if v == -1}
+    if len(head) != cols or len(tail) != cols:
+        return None
+    root = {r: r for r in mat._row}
+    forest = []
+    for c in range(cols):
+        a, b = head[c], tail[c]
+        while root[a] != a:                 # path halving
+            root[a] = a = root[root[a]]
+        while root[b] != b:
+            root[b] = b = root[root[b]]
+        if a != b:
+            root[a] = b
+            forest.append(c)
+    return forest
+
+
 def smith_normal_form(mat, *, _units=None):
     """Invariant factors d1 | d2 | ... | dr of an integer matrix.
 
@@ -400,11 +433,28 @@ def smith_normal_form(mat, *, _units=None):
     zero (and empty) matrix gives ``[]``.  A set passed as ``_units``
     receives the columns of the unit-phase pivots.
 
+    A graph's incidence matrix (every column one +1 and one -1) skips the
+    elimination: its factors are one 1 per column of a spanning forest
+    taken in index order, and those columns are the unit pivots.  That is
+    the kernel's own answer.  Row operations there merge vertex rows, so a
+    column keeps its two entries, opposite in sign, until it empties; the
+    unit phase pops the columns in index order and pivots on a column
+    exactly when its ends lie in different merged rows, and every row is
+    left empty, so no Euclidean pivot follows.
+
     >>> smith_normal_form(IntMatrix.from_dense([[2, 0], [0, 3]]))
     [1, 6]
     >>> smith_normal_form(IntMatrix.from_dense([[0]]))
     []
+    >>> smith_normal_form(IntMatrix.from_dense(      # the 4-cycle
+    ...     [[-1, 0, 0, 1], [1, -1, 0, 0], [0, 1, -1, 0], [0, 0, 1, -1]]))
+    [1, 1, 1]
     """
+    forest = _incidence_forest(mat)
+    if forest is not None:
+        if _units is not None:
+            _units.update(forest)
+        return [1] * len(forest)
     red = _Reduction(mat)
     red.run()
     if _units is not None:

@@ -468,15 +468,21 @@ def test_no_caller_reaches_the_euclidean_phase(monkeypatch):
     # relator matrix's LeftReduction, of certify's basis-matrix Smith call
     # and of each homology degree's Smith call is a unit.  No complex here
     # has torsion; test_torsion_reaches_the_euclidean_phase records what
-    # torsion does.
-    runs = []
-    run = intlinalg._Reduction.run
+    # torsion does.  Degree 1 is the m-cube's incidence matrix, which
+    # smith_normal_form reduces without the kernel: a spanning tree.
+    runs, smiths = [], []
+    run, smith = intlinalg._Reduction.run, intlinalg.smith_normal_form
 
     def recording(red):
         run(red)
         runs.append((red.left is not None, red.units < len(red.pivots)))
 
+    def recording_smith(mat, **kwargs):
+        smiths.append(smith(mat, **kwargs))
+        return smiths[-1]
+
     monkeypatch.setattr(intlinalg._Reduction, "run", recording)
+    monkeypatch.setattr(intlinalg, "smith_normal_form", recording_smith)
     rng = random.Random(20261018)
     complexes = [K for m in range(1, 5) for K in all_complexes(m)]
     complexes += [random_complex(m, rng) for m in range(5, 9)
@@ -491,12 +497,14 @@ def test_no_caller_reaches_the_euclidean_phase(monkeypatch):
         assert [left for left, _ in runs] == [True, False]
         relator.append(runs[0][1])
         basis.append(runs[1][1])
-        del runs[:]
+        del runs[:], smiths[:]
         CubeComplex(K).homology()
-        assert [left for left, _ in runs] == [False] * (K.dim() + 2)
+        assert [left for left, _ in runs] == [False] * (K.dim() + 1)
+        assert len(smiths) == K.dim() + 2
+        assert smiths[1] == [1] * (2**K.m - 1)
         degrees += [euclidean for _, euclidean in runs]
         del runs[:]
-    assert (len(relator), len(basis), len(degrees)) == (248, 248, 976)
+    assert (len(relator), len(basis), len(degrees)) == (248, 248, 728)
     assert (sum(relator), sum(basis), sum(degrees)) == (0, 0, 0)
 
 
@@ -505,22 +513,30 @@ def test_torsion_reaches_the_euclidean_phase(monkeypatch):
     # degree 2, and so do the models of RP^2 plus isolated vertices and of
     # two disjoint copies, 2^k times over.  Each Z/2 is one non-unit pivot
     # in the top degree's Smith call, and every other pivot is a unit.
-    nonunits = []
-    run = intlinalg._Reduction.run
+    # Degree 1, the m-cube's incidence matrix, reaches no kernel.
+    nonunits, smiths = [], []
+    run, smith = intlinalg._Reduction.run, intlinalg.smith_normal_form
 
     def recording(red):
         run(red)
         nonunits.append(len(red.pivots) - red.units)
 
+    def recording_smith(mat, **kwargs):
+        smiths.append(smith(mat, **kwargs))
+        return smiths[-1]
+
     monkeypatch.setattr(intlinalg._Reduction, "run", recording)
+    monkeypatch.setattr(intlinalg, "smith_normal_form", recording_smith)
     two = RP2 + [[v + 6 for v in face] for face in RP2]
     for m, faces, count in ((6, RP2, 1), (7, RP2, 2), (8, RP2, 4),
                             (12, two, 128)):
         K = SimplicialComplex.from_maximal_faces(m, faces)
         hs = CubeComplex(K).homology()
-        assert nonunits == [0, 0, 0, count]
+        assert nonunits == [0, 0, count]
+        assert len(smiths) == K.dim() + 2
+        assert smiths[1] == [1] * (2**m - 1)
         assert [h.torsion for h in hs] == [(), (), (2,) * count, ()]
-        del nonunits[:]
+        del nonunits[:], smiths[:]
 
 
 def test_chain_homology_clears_rows_of_unit_pivot_columns(monkeypatch):

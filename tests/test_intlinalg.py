@@ -209,6 +209,13 @@ def test_intmatrix_validation():
         IntMatrix(2, 3) @ IntMatrix(2, 3)
 
 
+def test_matmul_rejects_a_non_matrix():
+    M = IntMatrix.from_dense([[1, 2], [3, 4]])
+    for other in (3, [[1]], None):
+        with pytest.raises(TypeError):
+            M @ other
+
+
 def test_intmatrix_rejects_booleans():
     for make in (lambda: IntMatrix(1, 1, {(0, 0): True}),
                  lambda: IntMatrix(2, 2, [((1, 0), False)]),
@@ -618,6 +625,83 @@ def test_sparse_column_labels():
     red = LeftReduction(M)
     assert red.factors == [1, 1, 6]
     assert red.cokernel_class({0: 2, 1: 1}) == ((0, 0, 0), ())
+
+
+def _kernel_answer(M):
+    red = _Reduction(M)
+    red.run()
+    return ([d for (_, _, d) in red.pivots],
+            {c for (_, c, _) in red.pivots[:red.units]})
+
+
+def _smith_answer(M):
+    units = set()
+    return smith_normal_form(M, _units=units), units
+
+
+def _multigraph(rng):
+    """The incidence matrix of a seeded multigraph: up to three
+    components, parallel edges likely, isolated rows among the others."""
+    n, parts = rng.randint(2, 12), rng.randint(1, 3)
+    isolated = rng.randint(0, 3)
+    label = rng.sample(range(n + isolated), n)
+    cols = rng.randint(1, 3 * n)
+    entries = {}
+    for c in range(cols):
+        ends = [v for v in range(n) if v % parts == c % parts]
+        a, b = rng.sample(ends if len(ends) > 1 else range(n), 2)
+        entries[label[a], c], entries[label[b], c] = 1, -1
+    return IntMatrix(n + isolated, cols, entries)
+
+
+def test_incidence_forest_is_the_kernels_answer():
+    # a spanning forest gives the factors and the unit-pivot columns that
+    # the kernel's unit phase finds on a graph's incidence matrix
+    rng = random.Random(22)
+    mats = [build(SimplicialComplex.points(m)).boundaries[1]
+            for m in range(1, 11)]
+    mats += [build(K).boundaries[1] for K in (SimplicialComplex.cycle(9),
+                                              random_complex(7, rng))]
+    mats += [_multigraph(rng) for _ in range(300)]
+    for M in mats:
+        assert intlinalg._incidence_forest(M) is not None
+        assert _smith_answer(M) == _kernel_answer(M)
+    assert _smith_answer(mats[9])[0] == [1] * 1023   # a tree of the 10-cube
+
+
+def test_near_incidence_matrices_go_to_the_kernel():
+    square = {(0, 0): -1, (1, 0): 1, (1, 1): -1, (2, 1): 1,
+              (2, 2): -1, (3, 2): 1, (0, 3): 1, (3, 3): -1}
+    extras = [  # (columns, extra entries, 2 * columns nonzeros)
+        (5, {(0, 4): 1, (2, 4): 1}, True),                  # (+1, +1)
+        (5, {(0, 4): 1, (2, 4): -2}, True),                 # (+1, -2)
+        (5, {(0, 4): 1}, False),                            # one entry
+        # three entries, balanced by a column of one
+        (6, {(0, 4): 1, (1, 4): -1, (2, 4): 1, (3, 5): -1}, True),
+        (5, {}, False),                                     # empty column
+        # four entries, balanced by an empty column
+        (6, {(0, 4): 1, (1, 4): -1, (2, 4): 1, (3, 4): -1}, True),
+    ]
+    for cols, extra, balanced in extras:
+        M = IntMatrix(4, cols, {**square, **extra})
+        assert (M.nnz() == 2 * cols) == balanced
+        assert intlinalg._incidence_forest(M) is None
+        assert _smith_answer(M) == _kernel_answer(M)
+    for M in (IntMatrix(0, 0), IntMatrix(4, 0)):
+        assert intlinalg._incidence_forest(M) is None
+        assert _smith_answer(M) == _kernel_answer(M) == ([], set())
+
+
+def test_cube_model_degree_1_builds_no_reduction(monkeypatch):
+    built = []
+    init = _Reduction.__init__
+    monkeypatch.setattr(_Reduction, "__init__",
+                        lambda red, mat, **kw: built.append(mat)
+                        or init(red, mat, **kw))
+    ds = build(random_complex(6, random.Random(22))).boundaries
+    chain_homology(ds)
+    assert [(M.rows, M.cols) for M in built] == [
+        (d.rows, d.cols) for k, d in enumerate(ds) if k != 1]
 
 
 def _unimodular_pair(rng, n):
