@@ -31,7 +31,7 @@ from collections import Counter
 from itertools import chain
 
 from . import commutators, cubical, intlinalg, simplicial, words
-from .simplicial import SimplicialComplex
+from .simplicial import MAX_VERTICES, SimplicialComplex
 
 
 class DocumentError(ValueError):
@@ -40,12 +40,17 @@ class DocumentError(ValueError):
 
 _BARE_KEY = re.compile(r'([{,]\s*)([A-Za-z_][A-Za-z0-9_]*)(\s*:)')
 
+# Size caps on m, where a command builds more than the face closure
+MAX_CUBE_VERTICES = 12      # the cube model: 2^(m - |f|) cells per face f
+MAX_CHECK_VERTICES = 10     # splitting check, certificate, generator words
 
-def parse_document(text):
+
+def parse_document(text, cap=MAX_VERTICES):
     """Parse an input document into a complex.
 
     Accepts strict JSON and the bare-key form; errors carry the line and
-    column where parsing or validation failed.
+    column where parsing or validation failed.  m above the command's size
+    cap ``cap`` is refused before the complex is built.
     """
     try:
         try:
@@ -67,8 +72,11 @@ def parse_document(text):
         raise DocumentError("missing key 'm'")
     m = doc["m"]
     if isinstance(m, bool) or not isinstance(m, int) or \
-            not 1 <= m <= simplicial.MAX_VERTICES:
-        raise DocumentError(f"m must be an integer in 1..24, got {m!r}")
+            not 1 <= m <= MAX_VERTICES:
+        raise DocumentError(f"m must be an integer in 1..{MAX_VERTICES}, "
+                            f"got {m!r}")
+    if m > cap:
+        raise DocumentError(f"m = {m} too large for this command (cap {cap})")
     faces = doc.get("maximal_faces", [])
     if not isinstance(faces, list):
         raise DocumentError("maximal_faces must be a list of vertex lists")
@@ -83,7 +91,7 @@ def parse_document(text):
     return SimplicialComplex.from_maximal_faces(m, faces)
 
 
-def _read_document(path):
+def _read_document(path, cap):
     if path == "-":
         text = sys.stdin.read()
     else:
@@ -92,7 +100,7 @@ def _read_document(path):
                 text = fh.read()
         except OSError as exc:
             raise DocumentError(f"cannot read {path}: {exc}")
-    return parse_document(text)
+    return parse_document(text, cap)
 
 
 def _group_fields(h):
@@ -124,8 +132,6 @@ def cmd_chordal(K, args):
 
 
 def cmd_gens(K, args):
-    if args.words:
-        cubical._check_size(K, "the generator words")
     gens = commutators.enumerate_generators(K)
     count = commutators.generator_count(K)
     per_length = sorted(Counter(g.length for g in gens).items())
@@ -264,14 +270,14 @@ def main(argv=None):
                     "and the cubical models of their defining complexes.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text, needs_doc=True):
+    def add(name, func, help_text, needs_doc=True, cap=MAX_VERTICES):
         p = sub.add_parser(name, help=help_text)
         if needs_doc:
             p.add_argument("document", nargs="?", default="-",
                            help="input document path, or - for stdin")
         p.add_argument("--json", action="store_true",
                        help="machine-readable output")
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, cap=cap)
         return p
 
     add("flag", cmd_flag, "is the complex flag? witness on failure")
@@ -283,13 +289,18 @@ def main(argv=None):
     gens.add_argument("--words", action="store_true",
                       help="also expand each generator to a normalised word")
     add("free", cmd_free, "is the commutator subgroup free? (flag input)")
-    add("homology", cmd_homology, "integral homology of the cubical model")
-    add("euler", cmd_euler, "Euler characteristic of the cubical model")
+    add("homology", cmd_homology, "integral homology of the cubical model",
+        cap=MAX_CUBE_VERTICES)
+    add("euler", cmd_euler, "Euler characteristic of the cubical model",
+        cap=MAX_CUBE_VERTICES)
     add("check-splitting", cmd_check_splitting,
-        "compare cubical homology against the full-subcomplex splitting")
+        "compare cubical homology against the full-subcomplex splitting",
+        cap=MAX_CHECK_VERTICES)
     add("certify", cmd_certify,
-        "kernel, nontriviality and homology-basis checks of the generators")
-    add("pi1", cmd_pi1, "raw fundamental-group presentation statistics")
+        "kernel, nontriviality and homology-basis checks of the generators",
+        cap=MAX_CHECK_VERTICES)
+    add("pi1", cmd_pi1, "raw fundamental-group presentation statistics",
+        cap=MAX_CUBE_VERTICES)
     selftest = add("selftest", cmd_selftest,
                    "commutator identity and word-problem oracle suites",
                    needs_doc=False)
@@ -297,8 +308,9 @@ def main(argv=None):
     selftest.add_argument("--seed", type=int, default=20240901)
 
     args = parser.parse_args(argv)
+    cap = MAX_CHECK_VERTICES if getattr(args, "words", False) else args.cap
     try:
-        K = _read_document(args.document) if "document" in args else None
+        K = _read_document(args.document, cap) if "document" in args else None
         verdict, payload, lines = args.func(K, args)
         if args.json:
             if K is not None:

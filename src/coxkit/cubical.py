@@ -29,15 +29,6 @@ from .intlinalg import (HomologyGroup, IntMatrix, LeftReduction,
                         smith_normal_form)
 from .simplicial import _bits, reduced_homology
 
-MAX_CUBE_VERTICES = 12
-MAX_CHECK_VERTICES = 10     # cap of the splitting check and the certificate
-
-
-def _check_size(K, what):
-    if K.m > MAX_CHECK_VERTICES:
-        raise ValueError(f"m = {K.m} too large for {what} "
-                         f"(cap {MAX_CHECK_VERTICES})")
-
 
 class CubeComplex:
     """Cubical cell structure of the model of a complex K in [-1, 1]^m.
@@ -54,9 +45,6 @@ class CubeComplex:
     """
 
     def __init__(self, K):
-        if K.m > MAX_CUBE_VERTICES:
-            raise ValueError(f"m = {K.m} too large for the cubical model "
-                             f"(cap {MAX_CUBE_VERTICES})")
         self.K = K
         self.m = K.m
         # a face with k vertices spans k-dimensional cube faces, so the cell
@@ -147,7 +135,8 @@ class CubeComplex:
 
 
 def build(K):
-    """The cubical model of ``K`` (vertex count capped at 12)."""
+    """The cubical model of ``K``, with 2^(m - |f|) cells per face f of K;
+    the library sets no size cap (the ``coxkit`` commands do)."""
     return CubeComplex(K)
 
 
@@ -187,17 +176,15 @@ def homology_splitting_check(K):
     up by one degree.  The two sides are computed by entirely independent
     code paths and must agree (Betti numbers and torsion) in every degree.
     """
-    _check_size(K, "the splitting check")
     left = CubeComplex(K).homology()
     per_degree = [[] for _ in range(K.m + 1)]
     for mask in range(1 << K.m):
         J = [i + 1 for i in _bits(mask)]
         sub = K.full_subcomplex(J)
         reduced = reduced_homology(sub)
-        for idx, group in enumerate(reduced):
-            degree = idx       # reduced degree idx-1 contributes to idx
-            if degree <= K.m and not group.is_trivial():
-                per_degree[degree].append((tuple(J), group))
+        for k, group in enumerate(reduced):     # reduced degree k - 1 adds to k
+            if not group.is_trivial():
+                per_degree[k].append((tuple(J), group))
     rows = []
     for k in range(K.m + 1):
         left_k = left[k] if k < len(left) else HomologyGroup(0)
@@ -376,7 +363,6 @@ def basis_certificate(K):
     equal to the generator count with every invariant factor 1, plus
     agreement between the count and the first Betti number.
     """
-    _check_size(K, "the basis certificate")
     return _is_homology_basis(K, coxeter_spec(K),
                               generator_words(K, enumerate_generators(K)))
 
@@ -386,13 +372,12 @@ Certificate = namedtuple("Certificate",
 
 
 def certify(K):
-    """Check the commutator generators of ``K`` (m <= 10), expanding each
-    to its word once: every word has zero abelianization (``kernel``), none
-    is trivial by normal form or by the chamber test of the reflection
-    representation (``nontrivial``), and the loop classes form a
-    first-homology basis (``basis``, which needs closed loops, so it fails
-    whenever ``kernel`` does)."""
-    _check_size(K, "the certificate")
+    """Check the commutator generators of ``K``, expanding each to its word
+    once: every word has zero abelianization (``kernel``), none is trivial
+    by normal form or by the chamber test of the reflection representation
+    (``nontrivial``), and the loop classes form a first-homology basis
+    (``basis``, which needs closed loops, so it fails whenever ``kernel``
+    does)."""
     spec = coxeter_spec(K)
     gen_words = generator_words(K, enumerate_generators(K))
     zero = (0,) * K.m

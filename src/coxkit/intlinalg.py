@@ -45,8 +45,7 @@ class IntMatrix:
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be non-negative")
         data = {}
-        items = entries.items() if isinstance(entries, dict) else entries
-        for (r, c), v in items:
+        for (r, c), v in dict(entries).items():     # the last entry wins
             if not (0 <= r < rows and 0 <= c < cols):
                 raise ValueError(f"entry ({r},{c}) outside {rows}x{cols} matrix")
             if type(v) is not int:
@@ -537,10 +536,10 @@ def boundary_maps(levels, faces):
 def chain_homology(boundaries):
     """Homology groups of a finite chain complex of free abelian groups.
 
-    ``boundaries[k]`` is the boundary map from degree-k chains to
-    degree-(k-1) chains, so it must have ``boundaries[k-1].cols`` rows
-    (degree -1 is the zero module: ``boundaries[0]`` has 0 rows).  The
-    boundary above the top degree is taken to be zero.
+    ``boundaries`` yields d_0, d_1, ..., read in one pass; d_k maps
+    degree-k chains to degree-(k-1) chains, so it has as many rows as
+    d_{k-1} has columns (d_0 has 0 rows: degree -1 is the zero module).
+    The boundary above the top degree is taken to be zero.
 
     Raises :class:`ChainComplexError` if consecutive maps fail to compose
     to zero or dimensions are inconsistent; either signals a bug in the
@@ -553,29 +552,24 @@ def chain_homology(boundaries):
     of d_{k+1} is a combination of kept rows and rows of later pivots, as
     d_k d_{k+1} = 0.  Euclidean pivots need not be +-1 and follow column ops.
     """
-    n = len(boundaries)
-    if n and boundaries[0].rows:
-        raise ChainComplexError(f"boundary 0 has {boundaries[0].rows} rows "
-                                "but degree -1 is the zero module")
-    for k in range(1, n):
-        if boundaries[k].rows != boundaries[k - 1].cols:
+    groups, cleared = [], set()
+    below, dim, rank = None, 0, 0       # degree -1 is the zero module
+    for k, b in enumerate(boundaries):
+        if b.rows != dim:
             raise ChainComplexError(
-                f"boundary {k} has {boundaries[k].rows} rows but degree "
-                f"{k - 1} has dimension {boundaries[k - 1].cols}")
-        if not (boundaries[k - 1] @ boundaries[k]).is_zero():
+                f"boundary {k} has {b.rows} rows but degree {k - 1} has "
+                f"dimension {dim}")
+        if k and not (below @ b).is_zero():
             raise ChainComplexError(f"boundary maps {k - 1} and {k} do not "
                                     "compose to zero")
-    factors, cleared = [], set()
-    for b in boundaries:
         kept = {r: e for r, e in b._row.items() if r not in cleared}
         cleared = set()
-        factors.append(smith_normal_form(
-            IntMatrix._from_rows(b.rows, b.cols, kept), _units=cleared))
-    factors.append([])  # zero map above the top degree
-    groups = []
-    for k in range(n):
-        dim_k = boundaries[k].cols
-        betti = dim_k - len(factors[k]) - len(factors[k + 1])
-        torsion = tuple(d for d in factors[k + 1] if d > 1)
-        groups.append(HomologyGroup(betti, torsion))
+        factors = smith_normal_form(
+            IntMatrix._from_rows(b.rows, b.cols, kept), _units=cleared)
+        if k:
+            groups.append(HomologyGroup(dim - rank - len(factors),
+                                        tuple(d for d in factors if d > 1)))
+        below, dim, rank = b, b.cols, len(factors)
+    if below is not None:               # the zero map above the top degree
+        groups.append(HomologyGroup(dim - rank))
     return groups

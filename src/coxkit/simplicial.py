@@ -52,11 +52,7 @@ class Graph:
         adj = [0] * m
         for e in edges:
             a, b = e
-            for v in (a, b):
-                if isinstance(v, bool) or not isinstance(v, int) or \
-                        not 1 <= v <= m:
-                    raise ValueError(
-                        f"edge {e}: vertex {v!r} out of range 1..{m}")
+            _mask_of((a, b), m, f"edge {e}")
             if a == b:
                 raise ValueError(f"edge {e}: loops not allowed")
             adj[a - 1] |= 1 << (b - 1)
@@ -411,7 +407,7 @@ def _simplex_faces(f):
     return out
 
 
-# A splitting check at its m <= 10 cap asks for at most 2^10 full
+# A splitting check within the CLI's m <= 10 cap asks for at most 2^10 full
 # subcomplexes, so one check never evicts its own entries.
 _HOMOLOGY_CACHE_SIZE = 1 << 12
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from coxkit import commutators, cubical, simplicial, words
+from coxkit import cli, commutators, cubical, simplicial, words
 from coxkit.cli import DocumentError, main, parse_document
 from coxkit.intlinalg import IntMatrix
 from coxkit.simplicial import SimplicialComplex
@@ -256,6 +256,35 @@ def test_gens_words_checks_size_cap_before_building_words(
     for json_flag in ([], ["--json"]):
         code, out, err = run(capsys, "gens", "--words", *json_flag, path)
         assert code == 2 and out == "" and "too large" in err
+
+
+CAPPED_COMMANDS = {"homology": 12, "euler": 12, "pi1": 12,
+                   "check-splitting": 10, "certify": 10, "gens --words": 10}
+
+
+@pytest.mark.parametrize("command", sorted(CAPPED_COMMANDS))
+def test_over_cap_documents_are_refused_before_the_closure(
+        tmp_path, capsys, monkeypatch, command):
+    def no_closure(*args):
+        raise AssertionError("complex built before the size cap was checked")
+    monkeypatch.setattr(SimplicialComplex, "from_maximal_faces", no_closure)
+    cap = CAPPED_COMMANDS[command]
+    doc = {"m": cap + 1, "maximal_faces": [list(range(1, cap + 2))]}
+    path = write(tmp_path, json.dumps(doc))
+    for json_flag in ([], ["--json"]):
+        code, out, err = run(capsys, *command.split(), *json_flag, path)
+        assert code == 2 and out == ""
+        assert "too large" in err and f"(cap {cap})" in err
+
+
+@pytest.mark.parametrize("name, command", [
+    ("MAX_CUBE_VERTICES", "euler"), ("MAX_CHECK_VERTICES", "gens --words")])
+def test_a_lowered_cap_applies(tmp_path, capsys, monkeypatch, name, command):
+    monkeypatch.setattr(cli, name, 4)
+    code, out, _ = run(capsys, *command.split(), write(tmp_path, '{"m": 4}'))
+    assert code == 0 and out
+    code, out, err = run(capsys, *command.split(), write(tmp_path, '{"m": 5}'))
+    assert code == 2 and out == "" and "(cap 4)" in err
 
 
 DOCUMENT_COMMANDS = (["flag"], ["chordal"], ["gens"], ["gens", "--words"],

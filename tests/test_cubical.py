@@ -73,9 +73,13 @@ def test_int_keyed_builder_matches_the_tuple_faces():
         assert R.boundaries == intlinalg.boundary_maps(R.cells, cube_faces)
 
 
-def test_build_rejects_large_m():
-    with pytest.raises(ValueError):
-        build(SimplicialComplex.points(13))
+def test_build_takes_m_above_the_command_cap():
+    # the size caps belong to the commands (tests/test_cli.py), not to the
+    # library: H_1 of the 13-cube's graph has rank E - V + 1, the generator
+    # count of points(13)
+    K = SimplicialComplex.points(13)
+    assert build(K).homology() == [HomologyGroup(1), HomologyGroup(45057)]
+    assert generator_count(K) == 45057
 
 
 def test_homology_sphere_torus_genus5():

@@ -209,6 +209,13 @@ def test_intmatrix_validation():
         IntMatrix(2, 3) @ IntMatrix(2, 3)
 
 
+def test_intmatrix_last_entry_wins():
+    # as in a dict, a later entry replaces an earlier one, zero included
+    for last, factors in ((3, [3]), (0, [])):
+        M = IntMatrix(1, 1, [((0, 0), 5), ((0, 0), last)])
+        assert smith_normal_form(M) == factors and M.nnz() == len(factors)
+
+
 def test_matmul_rejects_a_non_matrix():
     M = IntMatrix.from_dense([[1, 2], [3, 4]])
     for other in (3, [[1]], None):
@@ -422,6 +429,13 @@ def test_chain_homology_rejects_nonzero_degree_minus_one():
         chain_homology([IntMatrix.from_dense([[1]])])
     with pytest.raises(ChainComplexError):
         chain_homology([IntMatrix(1, 2), IntMatrix(2, 1)])
+
+
+def test_chain_homology_reads_a_generator():
+    # one pass: the boundaries may arrive one at a time
+    R = build(SimplicialComplex.from_maximal_faces(6, RP2))
+    groups = chain_homology(b for b in R.boundaries)
+    assert groups == R.homology() and any(h.torsion for h in groups)
 
 
 def test_chain_homology_torsion():
