@@ -16,8 +16,10 @@ that does no I/O: ``K`` is the parsed complex (``None`` for ``selftest``),
 ``payload`` the JSON fields and ``lines`` the text report, any iterable of
 strings.  Only :func:`main` reads the document, prints, and maps the
 outcome to an exit code.  Under ``--json`` it prints the payload with the
-input echoed as ``m`` and ``maximal_faces``; otherwise it prints ``lines``,
-so the text report never builds the echo.
+input echoed as ``m`` and ``maximal_faces``, the latter found among the
+document's own faces and the vertices (``SimplicialComplex.listed``), not
+by a scan of the closure; otherwise it prints ``lines``, so the text report
+never builds the echo.
 """
 
 import argparse
@@ -314,8 +316,8 @@ def main(argv=None):
         verdict, payload, lines = args.func(K, args)
         if args.json:
             if K is not None:
-                payload = {"m": K.m, "maximal_faces": K.maximal_faces(),
-                           **payload}
+                echo = simplicial.maximal_among(K, K.listed)
+                payload = {"m": K.m, "maximal_faces": echo, **payload}
             print(json.dumps(payload, sort_keys=True))
         else:
             for line in lines:

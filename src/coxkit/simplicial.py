@@ -86,11 +86,15 @@ class SimplicialComplex:
     Always contains the empty face and, when m >= 1, all singletons;
     the unique complex with m = 0 (only the empty face) represents the
     restriction of a complex to the empty vertex subset.
+
+    ``listed`` holds faces whose downward closure, with the vertices, is
+    the complex: the faces given to :meth:`from_maximal_faces`, each once,
+    or else every face.
     """
 
-    __slots__ = ("m", "faces", "_skeleton")
+    __slots__ = ("m", "faces", "listed", "_skeleton")
 
-    def __init__(self, m, faces):
+    def __init__(self, m, faces, listed=None):
         _check_vertex_count(m, 0)
         faces = frozenset(faces)
         if 0 not in faces:
@@ -104,6 +108,7 @@ class SimplicialComplex:
                 raise ValueError(f"missing singleton face for vertex {i + 1}")
         self.m = m
         self.faces = faces
+        self.listed = faces if listed is None else listed
         self._skeleton = None
 
     # -- construction -----------------------------------------------------
@@ -116,13 +121,15 @@ class SimplicialComplex:
         _check_vertex_count(m, 1)
         faces = {0}
         faces.update(1 << i for i in range(m))
+        listed = set()
         for fl in maximal:
             top = _mask_of(fl, m, "maximal face")
+            listed.add(top)
             sub = top
             while sub:
                 faces.add(sub)
                 sub = (sub - 1) & top
-        return cls(m, faces)
+        return cls(m, faces, tuple(listed))
 
     @classmethod
     def simplex(cls, m):
@@ -153,14 +160,9 @@ class SimplicialComplex:
 
     def maximal_faces(self):
         """Inclusion-maximal faces as sorted vertex lists, ordered
-        lexicographically.  Round-trips through :meth:`from_maximal_faces`."""
-        out = []
-        for f in self.faces:
-            # by downward closure, maximal means no one-vertex extension
-            if not any(not f >> v & 1 and (f | (1 << v)) in self.faces
-                       for v in range(self.m)) and (f or self.m == 0):
-                out.append([i + 1 for i in _bits(f)])
-        return sorted(out)
+        lexicographically.  Round-trips through :meth:`from_maximal_faces`.
+        Scans every face; ``maximal_among(K, K.listed)`` gives the same."""
+        return maximal_among(self, self.faces)
 
     def __eq__(self, other):
         if not isinstance(other, SimplicialComplex):
@@ -210,6 +212,21 @@ class SimplicialComplex:
                 f ^= low
             faces.add(g)
         return SimplicialComplex(len(newbit), faces)
+
+
+def maximal_among(K, masks):
+    """The maximal faces of ``K``, given a set of faces ``masks`` whose
+    downward closure with the vertices is K, as sorted vertex lists in
+    lexicographic order: each mask with no one-vertex extension in K (by
+    downward closure, maximal), and each vertex that no mask covers."""
+    faces, vertices = K.faces, [1 << v for v in range(K.m)]
+    out, covered = [], 0
+    for f in masks:
+        covered |= f
+        if not any(not f & bit and f | bit in faces for bit in vertices):
+            out.append([i + 1 for i in _bits(f)])
+    out += [[v + 1] for v in range(K.m) if not covered >> v & 1]
+    return sorted(out)
 
 
 def _components_masks(K, sub_mask):
@@ -431,13 +448,34 @@ def _reduced_homology_key(m, faces):
         if 2 * sum(map(low.__and__, faces)) == len(faces) * low:
             return (HomologyGroup(0),) * (top + 1)
         apexes ^= low
+    # A graph (no face above an edge) on m >= 1 vertices: its augmented
+    # chain complex is Z <- Z^m <- Z^E, and the incidence matrix is totally
+    # unimodular, so there is no torsion.  With c components, reduced H0
+    # has rank c - 1 and H1, the cycle space, rank E - m + c.  c comes from
+    # a union-find over the edges.  The empty complex takes the chain path.
+    if top <= 2 and m:
+        edges = by_size.get(2, ())
+        root = list(range(m))
+        c = m
+        for e in edges:
+            low = e & -e
+            a, b = low.bit_length() - 1, (e ^ low).bit_length() - 1
+            while root[a] != a:
+                a = root[a]
+            while root[b] != b:
+                b = root[b]
+            if a != b:
+                root[a] = b
+                c -= 1
+        return (HomologyGroup(0), HomologyGroup(c - 1),
+                HomologyGroup(len(edges) - m + c))[:top + 1]
     levels = [sorted(by_size.get(k, ())) for k in range(top + 1)]
     return tuple(chain_homology(boundary_maps(levels, _simplex_faces)))
 
 
 def reduced_homology(K):
     """Reduced simplicial homology, from the chain complex augmented by the
-    empty face.
+    empty face; cones and graphs get theirs without building it.
 
     The returned list is indexed from degree -1: ``result[0]`` is the
     degree -1 group (Z for the empty complex, trivial otherwise) and

@@ -298,15 +298,50 @@ def test_text_mode_never_builds_the_echo(tmp_path, capsys, monkeypatch):
     expected = {(tuple(command), path): run(capsys, *command, path)[:2]
                 for command in DOCUMENT_COMMANDS for path in paths}
 
-    def no_echo(self):
+    def no_echo(K, masks):
         raise RuntimeError("echo built")
-    monkeypatch.setattr(SimplicialComplex, "maximal_faces", no_echo)
+    monkeypatch.setattr(simplicial, "maximal_among", no_echo)
     for (command, path), (code, out) in expected.items():
         assert run(capsys, *command, path)[:2] == (code, out)
         code, out, err = run(capsys, *command, "--json", path)
         assert code == 3 and out == ""
         assert err.splitlines()[-1] == \
             "internal error: RuntimeError('echo built')"
+
+
+def test_json_echo_never_scans_the_closure(tmp_path, capsys, monkeypatch):
+    # The echo is read off the document's own faces and the vertices, never
+    # off every face of the closure.  Documents that list non-maximal,
+    # repeated or empty faces echo the maximal faces all the same.
+    rng = random.Random(24)
+    docs = [PATH4_DOC, C4_DOC, BOUNDARY_DOC, '{"m": 1}', '{"m": 3}',
+            '{m: 4, maximal_faces: [[1,2],[2,1],[1],[],[2,3],[1,2],[3,2]]}',
+            '{m: 5, maximal_faces: [[1,2,3],[2,3],[3],[3,1,2],[4]]}']
+    for K in (SimplicialComplex.simplex(9), SimplicialComplex.points(6),
+              SimplicialComplex.cycle(7)):
+        docs.append(json.dumps({"m": K.m, "maximal_faces": K.maximal_faces()}))
+    for _ in range(12):
+        K = random_complex(rng.randint(2, 7), rng)
+        faces = K.maximal_faces()
+        faces += [sorted(rng.sample(f, rng.randint(0, len(f))))
+                  for f in faces]
+        rng.shuffle(faces)
+        docs.append(json.dumps({"m": K.m, "maximal_faces": faces}))
+    paths = [write(tmp_path, doc, f"{i}.json") for i, doc in enumerate(docs)]
+    expected = {}
+    for path, doc in zip(paths, docs):
+        want = parse_document(doc).maximal_faces()
+        for command in DOCUMENT_COMMANDS:
+            code, out, _ = run(capsys, *command, "--json", path)
+            # `free` refuses a non-flag complex with exit 2 and no reply
+            assert code == 2 or json.loads(out)["maximal_faces"] == want
+            expected[tuple(command), path] = code, out
+
+    def scan(self):
+        raise RuntimeError("closure scanned")
+    monkeypatch.setattr(SimplicialComplex, "maximal_faces", scan)
+    for (command, path), (code, out) in expected.items():
+        assert run(capsys, *command, "--json", path)[:2] == (code, out)
 
 
 def test_broken_chain_complex_is_an_internal_error(

@@ -1,12 +1,13 @@
 import hashlib
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
 from coxkit import simplicial
 from coxkit.commutators import enumerate_generators
-from coxkit.intlinalg import boundary_maps, chain_homology
+from coxkit.intlinalg import HomologyGroup, boundary_maps, chain_homology
 from coxkit.simplicial import (Graph, SimplicialComplex, _bits, _cliques,
                                _components_masks, _reduced_homology_key,
                                _simplex_faces, clique_complex, is_chordal,
@@ -324,17 +325,27 @@ def _cone(K):
         K.m + 1, [f + [K.m + 1] for f in K.maximal_faces()])
 
 
+def _graph_complex(g):
+    """The graph ``g`` as a complex of vertices and edges."""
+    return SimplicialComplex.from_maximal_faces(g.m, g.edges())
+
+
 def test_reduced_homology_of_cones_matches_the_chain_complex():
-    # Every complex with m <= 4, seeded random ones with m 5-9 and RP^2,
-    # each with its cone: reduced_homology against the augmented chain
-    # complex built here, and a brute-force apex search against the count
-    # of faces through each vertex.
+    # Every complex with m <= 4, every graph on 5 vertices, seeded random
+    # complexes with m 5-9 and graphs with m 6-12, and RP^2, each with its
+    # cone: reduced_homology against the augmented chain complex built
+    # here, and a brute-force apex search against the count of faces
+    # through each vertex.
     rng = random.Random(19)
-    base = [K for m in range(5) for K in all_complexes(m)]
+    graphs = [_graph_complex(g) for g in all_graphs(5)]
+    graphs += [_graph_complex(random_graph(m, rng, p=rng.random()))
+               for m in range(6, 13) for _ in range(12)]
+    base = [K for m in range(5) for K in all_complexes(m)] + graphs
     base += [random_complex(m, rng) for m in range(5, 10) for _ in range(4)]
     base.append(SimplicialComplex.from_maximal_faces(6, RP2))
     corpus = base + [_cone(K) for K in base]
     cones = 0
+    kinds = Counter()
     _reduced_homology_key.cache_clear()
     for K in corpus:
         top = max(f.bit_count() for f in K.faces)
@@ -350,7 +361,17 @@ def test_reduced_homology_of_cones_matches_the_chain_complex():
         if apex:
             assert all(h.is_trivial() for h in want), K
             cones += 1
+        if top == 2 and not apex:
+            covered = 0
+            for f in levels[2]:
+                covered |= f
+            kinds.update({"forest": want[2].betti == 0,
+                          "cycles": want[2].betti > 0,
+                          "isolated vertex": covered != (1 << K.m) - 1,
+                          "components": want[1].betti > 0})
     assert cones >= len(base)
+    assert min(kinds[k] for k in ("forest", "cycles", "isolated vertex",
+                                  "components")) >= 100, kinds
     _reduced_homology_key.cache_clear()
 
 
@@ -367,20 +388,27 @@ def test_cones_build_no_chain_complex(monkeypatch):
     star = S.from_maximal_faces(5, [[1, 2], [1, 3], [1, 4], [1, 5]])
     cones = [S.simplex(k) for k in range(1, 7)]
     cones += [star, _cone(S.cycle(5)), _cone(rp2), S.points(1)]
-    others = [S.cycle(4), S.points(2), rp2,
+    # graphs that are not cones, with their (H0, H1) ranks
+    graphs = [(S.cycle(4), 0, 1), (S.points(2), 1), (S.points(5), 4),
+              (S.from_maximal_faces(6, [[1, 2], [2, 3], [4, 5]]), 2, 0),
+              (S.from_maximal_faces(7, [[1, 2], [2, 3], [1, 3], [4, 5],
+                                        [5, 6], [4, 6], [3, 4]]), 1, 2)]
+    others = [rp2,
               S.from_maximal_faces(4, [[1, 2, 3], [1, 2, 4], [1, 3, 4],
                                        [2, 3, 4]]),
               S.cycle(4).full_subcomplex([])]
-    cases = [(K, 0) for K in cones] + [(K, 1) for K in others]
+    cases = [(K, 0, [0] * (K.dim() + 2)) for K in cones]
+    cases += [(K, 0, [0, *ranks]) for K, *ranks in graphs]
+    cases += [(K, 1, None) for K in others]
     try:
-        for K, want_calls in cases:
+        for K, want_calls, betti in cases:
             _reduced_homology_key.cache_clear()
             calls.clear()
             hs = reduced_homology(K)
             assert len(calls) == want_calls, K
             assert len(hs) == K.dim() + 2
-            if not want_calls:
-                assert all(h.is_trivial() for h in hs), K
+            if betti is not None:
+                assert hs == [HomologyGroup(b) for b in betti], K
     finally:
         _reduced_homology_key.cache_clear()
 
