@@ -20,9 +20,15 @@ input echoed as ``m`` and ``maximal_faces``, the latter found among the
 document's own faces and the vertices (``SimplicialComplex.listed``), not
 by a scan of the closure; otherwise it prints ``lines``, so the text report
 never builds the echo.
+
+The argument parser is built on the first :func:`main` call and reused by
+every later call in the process; nothing is built at import.  The size
+caps (``MAX_CUBE_VERTICES``, ``MAX_CHECK_VERTICES``, ``MAX_VERTICES``) are
+read on each call, so a cap changed between calls applies to the next.
 """
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -265,14 +271,19 @@ def cmd_selftest(K, args):
         f"selftest: {'ok' if verdict else 'FAILED'}"]
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The argument parser, built on the first :func:`main` call and kept.
+
+    Each command registers the name of its size cap, not its value, so
+    :func:`main` reads the cap on every call and a lowered one applies."""
     parser = argparse.ArgumentParser(
         prog="coxkit",
         description="Exact computations with right-angled Coxeter groups "
                     "and the cubical models of their defining complexes.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text, needs_doc=True, cap=MAX_VERTICES):
+    def add(name, func, help_text, needs_doc=True, cap="MAX_VERTICES"):
         p = sub.add_parser(name, help=help_text)
         if needs_doc:
             p.add_argument("document", nargs="?", default="-",
@@ -292,25 +303,30 @@ def main(argv=None):
                       help="also expand each generator to a normalised word")
     add("free", cmd_free, "is the commutator subgroup free? (flag input)")
     add("homology", cmd_homology, "integral homology of the cubical model",
-        cap=MAX_CUBE_VERTICES)
+        cap="MAX_CUBE_VERTICES")
     add("euler", cmd_euler, "Euler characteristic of the cubical model",
-        cap=MAX_CUBE_VERTICES)
+        cap="MAX_CUBE_VERTICES")
     add("check-splitting", cmd_check_splitting,
         "compare cubical homology against the full-subcomplex splitting",
-        cap=MAX_CHECK_VERTICES)
+        cap="MAX_CHECK_VERTICES")
     add("certify", cmd_certify,
         "kernel, nontriviality and homology-basis checks of the generators",
-        cap=MAX_CHECK_VERTICES)
+        cap="MAX_CHECK_VERTICES")
     add("pi1", cmd_pi1, "raw fundamental-group presentation statistics",
-        cap=MAX_CUBE_VERTICES)
+        cap="MAX_CUBE_VERTICES")
     selftest = add("selftest", cmd_selftest,
                    "commutator identity and word-problem oracle suites",
                    needs_doc=False)
     selftest.add_argument("--trials", type=int, default=300)
     selftest.add_argument("--seed", type=int, default=20240901)
 
-    args = parser.parse_args(argv)
-    cap = MAX_CHECK_VERTICES if getattr(args, "words", False) else args.cap
+    return parser
+
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
+    cap = globals()["MAX_CHECK_VERTICES" if getattr(args, "words", False)
+                    else args.cap]
     try:
         K = _read_document(args.document, cap) if "document" in args else None
         verdict, payload, lines = args.func(K, args)
@@ -327,7 +343,9 @@ def main(argv=None):
     except BrokenPipeError:
         # the reader closed stdout: stop quietly, as SIGPIPE would, and point
         # stdout at devnull so the interpreter's last flush has nowhere to fail
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 141
     except Exception as exc:
         # bad input raises ValueError; a broken chain complex is a bug

@@ -1,3 +1,6 @@
+import argparse
+import contextlib
+import io
 import json
 import os
 import random
@@ -232,6 +235,23 @@ def test_closed_stdout_exits_141_quietly():
     assert proc.wait(timeout=60) == 141 and err == b""
 
 
+def test_closed_stdout_in_process_leaks_no_descriptor(
+        tmp_path, monkeypatch):
+    fds = Path("/proc/self/fd")
+    if not fds.is_dir():
+        pytest.skip("no /proc/self/fd to count descriptors")
+    path = write(tmp_path, PATH4_DOC)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as closed_pipe:
+        before = len(list(fds.iterdir()))
+        monkeypatch.setattr(sys, "stdout", closed_pipe)
+        code = main(["gens", path])
+        monkeypatch.undo()
+        assert code == 141
+        assert len(list(fds.iterdir())) == before
+
+
 def test_parse_document_rejects_boolean_vertices():
     with pytest.raises(DocumentError, match="vertex True"):
         parse_document('{"m":3,"maximal_faces":[[true,2]]}')
@@ -285,6 +305,54 @@ def test_a_lowered_cap_applies(tmp_path, capsys, monkeypatch, name, command):
     assert code == 0 and out
     code, out, err = run(capsys, *command.split(), write(tmp_path, '{"m": 5}'))
     assert code == 2 and out == "" and "(cap 4)" in err
+
+
+def test_the_parser_is_built_once(tmp_path, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli._parser.cache_clear()
+    try:
+        path = write(tmp_path, PATH4_DOC)
+        for command in (["flag"], ["gens", "--json"], ["euler"], ["flag"]):
+            assert run(capsys, *command, path)[0] == 0
+        assert run(capsys, "selftest", "--trials", "0")[0] == 0
+        assert built.count("coxkit") == 1
+    finally:
+        cli._parser.cache_clear()
+
+
+def test_a_cap_lowered_after_the_parser_exists_applies(
+        tmp_path, capsys, monkeypatch):
+    path = write(tmp_path, '{"m": 5}')
+    assert run(capsys, "euler", path)[0] == 0
+    monkeypatch.setattr(cli, "MAX_CUBE_VERTICES", 4)
+    code, out, err = run(capsys, "euler", path)
+    assert code == 2 and out == "" and "(cap 4)" in err
+
+
+def test_no_state_crosses_calls(tmp_path, capsys):
+    path = write(tmp_path, PATH4_DOC)
+    code, out, _ = run(capsys, "gens", "--words", "--json", path)
+    assert code == 0 and "words" in json.loads(out)
+    code, out, _ = run(capsys, "gens", "--json", path)
+    assert code == 0 and "words" not in json.loads(out)
+
+    run(capsys, "selftest", "--trials", "1", "--seed", "7")
+    code, out, _ = run(capsys, "selftest", "--trials", "1", "--json")
+    assert code == 0 and json.loads(out)["seed"] == 20240901
+
+    cli._parser.cache_clear()
+    fresh = run(capsys, "homology", "--json", path)
+    with pytest.raises(SystemExit) as usage_error:
+        main(["homology", "--bogus", path])
+    assert usage_error.value.code == 2
+    capsys.readouterr()
+    assert run(capsys, "homology", "--json", path) == fresh
 
 
 DOCUMENT_COMMANDS = (["flag"], ["chordal"], ["gens"], ["gens", "--words"],
@@ -411,3 +479,77 @@ def test_readme_examples_byte_for_byte():
                                 capture_output=True)
         assert result.returncode == 0
         assert result.stdout == expected.encode()
+
+
+def _fuzzed_documents(st):
+    """Document texts, valid or not: strict JSON or bare keys, m out of
+    range or of the wrong type, faces that are not lists, vertices out of
+    range, deep nesting, cut documents and junk text."""
+    vertex = st.one_of(st.integers(-1, 9), st.booleans(), st.floats(),
+                       st.text(max_size=2), st.none(),
+                       st.lists(st.integers(1, 8), max_size=2))
+    bad_m = st.sampled_from([0, 25, -1, True, False, 4.0, "4", None]) | \
+        st.floats()
+    bad_faces = st.one_of(
+        st.lists(st.lists(vertex, max_size=4) | vertex, min_size=1,
+                 max_size=6),
+        vertex, st.dictionaries(st.text(max_size=3), st.integers(),
+                                max_size=2)).map(json.dumps) | \
+        st.integers(1, 3000).map(lambda d: "[" * d + "]" * d)
+
+    def good(m):
+        face = st.lists(st.integers(1, m), min_size=1, max_size=3)
+        faces = st.lists(face, max_size=10)
+        return st.tuples(st.just(m), faces.map(json.dumps))
+
+    def assemble(bare, m_and_faces):
+        m, faces = m_and_faces
+        key = str if bare else json.dumps
+        return f"{{{key('m')}: {json.dumps(m)}, " \
+               f"{key('maximal_faces')}: {faces}}}"
+    pairs = st.integers(1, 8).flatmap(good) | \
+        st.tuples(st.integers(1, 8) | bad_m, bad_faces)
+    documents = st.builds(assemble, st.booleans(), pairs)
+    cut = st.builds(lambda doc, at, junk: doc[:at] + junk, documents,
+                    st.integers(0, 60), st.text(max_size=8))
+    junk = st.text(max_size=40) | st.sampled_from(
+        ["", "[]", "{}", "3", '{"maximal_faces": []}', "{m: 4,}"])
+    return st.one_of(documents, documents, documents, documents, cut, junk)
+
+
+def test_fuzzed_documents_parse_or_raise_document_error():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=200, deadline=None, database=None,
+                         derandomize=True)
+    @hypothesis.given(_fuzzed_documents(st))
+    def check(text):
+        try:
+            K = parse_document(text)
+        except DocumentError:
+            return
+        assert isinstance(K, SimplicialComplex) and 1 <= K.m <= 8
+    check()
+
+
+def test_fuzzed_documents_exit_0_1_or_2_through_main():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=100, deadline=None, database=None,
+                         derandomize=True)
+    @hypothesis.given(st.sampled_from(["flag", "chordal", "euler"]),
+                      _fuzzed_documents(st))
+    def check(command, text):
+        out, err, stdin = io.StringIO(), io.StringIO(), sys.stdin
+        sys.stdin = io.StringIO(text)
+        try:
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = main([command, "-"])
+        finally:
+            sys.stdin = stdin
+        assert code in (0, 1, 2), err.getvalue()
+        assert code != 2 or out.getvalue() == ""
+    check()
