@@ -8,8 +8,15 @@ either as strict JSON or with bare keys:
 Every command except ``selftest`` reads one document (file path argument,
 or standard input when the path is ``-``), prints a human-readable report
 by default or a JSON document with ``--json``, and exits 0 for
-success/true verdicts, 1 for false verdicts, 2 for malformed input, 3
-for an internal error and 141 when the reader closes standard output.
+success/true verdicts, 1 for false verdicts, 2 for an input error, 3 for
+any other failure and 141 when the reader closes standard output.
+
+:func:`main` names the input errors that exit 2: a malformed, unreadable,
+non-UTF-8 or over-cap document and a negative ``--trials``
+(:class:`DocumentError`), ``free`` on a non-flag complex
+(``commutators.NotFlagError``), and a usage error, which argparse raises
+as ``SystemExit(2)``.  Any other exception inside a command is a bug,
+whatever its type, and exits 3 with its traceback.
 
 Each command is a function ``cmd_x(K, args) -> (verdict, payload, lines)``
 that does no I/O: ``K`` is the parsed complex (``None`` for ``selftest``),
@@ -38,15 +45,21 @@ import traceback
 from collections import Counter
 from itertools import chain
 
-from . import commutators, cubical, intlinalg, simplicial, words
+from . import commutators, cubical, simplicial, words
 from .simplicial import MAX_VERTICES, SimplicialComplex
 
 
 class DocumentError(ValueError):
-    pass
+    """Bad input to a command: a document that cannot be read, parsed or
+    admitted, or an option out of range.  :func:`main` exits 2 on it."""
 
 
 _BARE_KEY = re.compile(r'([{,]\s*)([A-Za-z_][A-Za-z0-9_]*)(\s*:)')
+# the tokens json.loads reads whole: a string, a bare word (a bare key,
+# true, NaN, ...) or a number in json's own grammar; compiled on first use,
+# as only a refused document needs it
+_TOKEN = (r'"(?:[^"\\]|\\.)*"|[A-Za-z_][A-Za-z0-9_]*|'
+          r'(-?(?:0|[1-9][0-9]*))(\.[0-9]+)?([eE][-+]?[0-9]+)?')
 
 # Size caps on m, where a command builds more than the face closure
 MAX_CUBE_VERTICES = 12      # the cube model: 2^(m - |f|) cells per face f
@@ -60,19 +73,24 @@ def parse_document(text, cap=MAX_VERTICES):
     column where parsing or validation failed.  m above the command's size
     cap ``cap`` is refused before the complex is built.
     """
+    first = None
     try:
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as first:
-            try:
-                doc = json.loads(_BARE_KEY.sub(r'\1"\2"\3', text))
-            except json.JSONDecodeError:
-                raise DocumentError(
-                    f"not a valid document: {first.msg} at line "
-                    f"{first.lineno} column {first.colno}") from None
+        except json.JSONDecodeError as exc:
+            first = exc
+            doc = json.loads(_BARE_KEY.sub(r'\1"\2"\3', text))
     except RecursionError:
         raise DocumentError("not a valid document: nested too deeply") \
             from None
+    except json.JSONDecodeError:
+        raise _syntax_error(first) from None    # the strict form's position
+    except ValueError:
+        # json.loads lets int()'s refusal of a literal out with no position
+        where = _too_long_literal(text)
+        if where is None:
+            raise
+        raise _syntax_error(where) from None
     if not isinstance(doc, dict):
         raise DocumentError("document must be a mapping with keys "
                             "'m' and 'maximal_faces'")
@@ -99,15 +117,38 @@ def parse_document(text, cap=MAX_VERTICES):
     return SimplicialComplex.from_maximal_faces(m, faces)
 
 
+def _syntax_error(err):
+    return DocumentError(f"not a valid document: {err.msg} at line "
+                         f"{err.lineno} column {err.colno}")
+
+
+def _too_long_literal(text):
+    """The first integer literal in ``text`` that int() refuses, one past
+    the interpreter's digit limit (4,300 digits by default), as a
+    JSONDecodeError at its position; None if there is none."""
+    for token in re.finditer(_TOKEN, text):
+        digits, fraction, exponent = token.groups()
+        if digits and fraction is None and exponent is None:
+            try:
+                int(digits)
+            except ValueError:
+                return json.JSONDecodeError(
+                    f"integer literal too long "
+                    f"({len(digits.lstrip('-'))} digits)",
+                    text, token.start())
+    return None
+
+
 def _read_document(path, cap):
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        try:
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
-            raise DocumentError(f"cannot read {path}: {exc}")
+    except (OSError, UnicodeDecodeError) as exc:
+        name = "standard input" if path == "-" else path
+        raise DocumentError(f"cannot read {name}: {exc}") from None
     return parse_document(text, cap)
 
 
@@ -227,7 +268,7 @@ def cmd_selftest(K, args):
     rng = random.Random(args.seed)
     trials = args.trials
     if trials < 0:
-        raise ValueError(f"--trials must be non-negative, got {trials}")
+        raise DocumentError(f"--trials must be non-negative, got {trials}")
     graphs = [simplicial.Graph(4, []),
               simplicial.Graph(4, [(1, 2), (3, 4)]),
               simplicial.Graph(4, [(1, 2), (2, 3), (3, 4)]),
@@ -347,12 +388,11 @@ def main(argv=None):
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141
+    except (DocumentError, commutators.NotFlagError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except Exception as exc:
-        # bad input raises ValueError; a broken chain complex is a bug
-        if isinstance(exc, ValueError) and \
-                not isinstance(exc, intlinalg.ChainComplexError):
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        # whatever its type, a failure that is not the input's is a bug
         traceback.print_exc()
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 3

@@ -114,9 +114,9 @@ class GroupSpec:
         return f"GroupSpec(m={self.m}, orders={self.orders})"
 
 
-def generator(v, exponent=1):
-    """The one-letter word g_v^exponent."""
-    return ((v, exponent),)
+def generator(v):
+    """The one-letter word g_v."""
+    return ((v, 1),)
 
 
 def normal_form(word, spec):

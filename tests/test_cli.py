@@ -193,6 +193,36 @@ def test_malformed_document_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+LONG_LITERAL = "9" * 5000     # past int()'s default limit of 4,300 digits
+
+
+@pytest.mark.parametrize("text, line, column", [
+    ('{"m": ' + LONG_LITERAL + ', "maximal_faces": []}', 1, 7),
+    ('{m: ' + LONG_LITERAL + ', maximal_faces: []}', 1, 5),
+    ('{"m": 4,\n "maximal_faces": [[1, ' + LONG_LITERAL + ']]}', 2, 24),
+    ('{m: 4,\n maximal_faces: [[1, ' + LONG_LITERAL + ']]}', 2, 22)],
+    ids=["m", "bare-m", "vertex", "bare-vertex"])
+def test_too_long_integer_literal_is_a_document_error(
+        tmp_path, capsys, text, line, column):
+    with pytest.raises(DocumentError,
+                       match=f"5000 digits.* at line {line} column {column}$"):
+        parse_document(text)
+    code, out, err = run(capsys, "flag", write(tmp_path, text))
+    assert code == 2 and out == ""
+    assert err.startswith("error: not a valid document")
+
+
+def test_non_utf8_document_exit_2(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "k.json"
+    path.write_bytes(b'{"m": 2, "maximal_faces": [["\xff"]]}')
+    code, out, err = run(capsys, "flag", str(path))
+    assert code == 2 and out == "" and err.startswith("error:")
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(
+        io.BytesIO(b'{"m": 2\xff}'), encoding="utf-8"))
+    code, out, err = run(capsys, "flag", "-")
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
 def test_deeply_nested_document_exit_2(tmp_path, capsys):
     deep = "[" * 100_000 + "]" * 100_000
     for text in (deep, "{m: 2, maximal_faces: " + deep + "}"):
@@ -463,6 +493,22 @@ def test_gens_without_top_component_is_an_internal_error(
     assert err.splitlines()[-1].startswith("internal error: RuntimeError")
 
 
+@pytest.mark.parametrize("module, name, command", [
+    (commutators, "commutator", ("gens", "--words")),
+    (cubical, "_is_homology_basis", ("certify",))],
+    ids=["gens-words", "certify"])
+def test_library_value_error_is_an_internal_error(
+        tmp_path, capsys, monkeypatch, module, name, command):
+    def broken(*args):
+        raise ValueError("vertex 11 out of range 1..4")
+    monkeypatch.setattr(module, name, broken)
+    for json_flag in ((), ("--json",)):
+        code, out, err = run(capsys, *command, *json_flag,
+                             write(tmp_path, PATH4_DOC))
+        assert code == 3 and out == ""
+        assert err.splitlines()[-1].startswith("internal error: ValueError")
+
+
 README_EXAMPLE = re.compile(
     r"^\$ echo '([^'\n]*)' \| coxkit ([^\n]*) -\n(.*?)^```", re.M | re.S)
 
@@ -484,7 +530,8 @@ def test_readme_examples_byte_for_byte():
 def _fuzzed_documents(st):
     """Document texts, valid or not: strict JSON or bare keys, m out of
     range or of the wrong type, faces that are not lists, vertices out of
-    range, deep nesting, cut documents and junk text."""
+    range, deep nesting, cut documents, junk text and integer literals too
+    long for int()."""
     vertex = st.one_of(st.integers(-1, 9), st.booleans(), st.floats(),
                        st.text(max_size=2), st.none(),
                        st.lists(st.integers(1, 8), max_size=2))
@@ -510,11 +557,20 @@ def _fuzzed_documents(st):
     pairs = st.integers(1, 8).flatmap(good) | \
         st.tuples(st.integers(1, 8) | bad_m, bad_faces)
     documents = st.builds(assemble, st.booleans(), pairs)
+    # integer literals past int()'s 4,300-digit limit, which json.dumps
+    # cannot write, go in as raw text: as m, and as a vertex
+    digits = st.integers(4301, 6000).map(lambda n: "9" * n)
+    too_long = st.builds(
+        lambda bare, d: assemble(bare, (None, "[]")).replace("null", d),
+        st.booleans(), digits) | st.builds(
+        lambda bare, d: assemble(bare, (4, f"[[1, {d}]]")),
+        st.booleans(), digits)
     cut = st.builds(lambda doc, at, junk: doc[:at] + junk, documents,
                     st.integers(0, 60), st.text(max_size=8))
     junk = st.text(max_size=40) | st.sampled_from(
         ["", "[]", "{}", "3", '{"maximal_faces": []}', "{m: 4,}"])
-    return st.one_of(documents, documents, documents, documents, cut, junk)
+    return st.one_of(documents, documents, documents, documents, cut, junk,
+                     too_long)
 
 
 def test_fuzzed_documents_parse_or_raise_document_error():
