@@ -8,13 +8,14 @@ from pathlib import Path
 import pytest
 
 from coxkit import words as words_module
+from coxkit.commutators import enumerate_generators, generator_words
 from coxkit.cubical import build, word_to_loop
 from coxkit.simplicial import Graph, SimplicialComplex
 from coxkit.words import (GroupSpec, abelianization, commutator, evaluate,
                           generator, geometric_representation, is_identity,
                           is_identity_chamber, is_identity_matrix, multiply,
                           normal_form, random_word, verify_hall, verify_swap)
-from helpers import dense, inverse, random_graph
+from helpers import dense, inverse, random_complex, random_graph
 
 FREE2 = GroupSpec.coxeter(Graph(2, []))
 EDGE2 = GroupSpec.coxeter(Graph(2, [(1, 2)]))
@@ -694,3 +695,41 @@ def test_normal_form_properties():
 
     idempotent()
     least_shuffle()
+
+
+def test_normal_form_output_is_pinned():
+    # One digest over the normal forms of two sets of words: the generator
+    # words of points, cycle and seeded random complexes, m 4-9; and seeded
+    # random and cancelling words (w, then the inverse of a commuting
+    # shuffle of w) with exponents -3..3 in RACG, RAAG and mixed-order
+    # groups, m 1-12, 16 and 24, lengths 0-2,000 (short ones too).  A
+    # faster normal form must return the same words.
+    digest = hashlib.sha256()
+    rng = random.Random(2027)
+    words = 0
+    for m in range(4, 10):
+        for K in (SimplicialComplex.points(m), SimplicialComplex.cycle(m),
+                  random_complex(m, rng)):
+            for w in generator_words(K, enumerate_generators(K)):
+                digest.update(f"{w};".encode())
+                words += 1
+    for m in list(range(1, 13)) + [16, 24]:
+        for kind in ("racg", "raag", "mixed"):
+            for p in (0.2, 0.5, 0.8):
+                graph = random_graph(m, rng, p)
+                orders = {"racg": (2,) * m, "raag": (None,) * m,
+                          "mixed": tuple(rng.choice((2, 3, 4, None))
+                                         for _ in range(m))}[kind]
+                spec = GroupSpec(graph, orders)
+                for cancelling in (False, True):
+                    n = rng.randint(0, rng.choice((12, 2000)) >> cancelling)
+                    w = tuple((rng.randint(1, m), rng.randint(-3, 3))
+                              for _ in range(n))
+                    if cancelling:
+                        w += _inv_letters(_commuting_shuffle(w, spec, rng))
+                    nf = normal_form(w, spec)
+                    digest.update(f"{m} {len(w)}:{nf};".encode())
+                    words += 1
+    assert words == 4410, words
+    assert digest.hexdigest() == ("a9a5fa28048181361b14dd459838fbfc"
+                                  "bac6aab77475a487de7ce10cd20a80ad")
