@@ -20,11 +20,18 @@ letters per vertex (the "piling" of Crisp-Godelle-Wiest): a new letter
 merges into the top letter of its vertex unless a live letter of a
 non-commuting vertex lies above that one, and a merge to exponent 0 pops
 it.  A popped letter never separated two letters of one vertex, so
-nothing is re-read.  The live letters then form a heap of pieces: each
-waits for the last earlier live letter of its own vertex and of every
-vertex it does not commute with.  Repeatedly emitting the waiting-free
-letter of smallest vertex, kept in a priority queue, gives the least
-order (Anisimov-Knuth).  The cost is O(n m) for n letters on m vertices.
+nothing is re-read.  Most reduced words, generator words above all, are
+then in least order already, and one exact test returns them as they
+stand: a word is the least order of its letters exactly when it has no
+factor b u a with a < b, where a commutes with b and with every letter of
+u (Anisimov-Knuth, "Inhomogeneous sorting", 1979; Diekert-Rozenberg, *The
+Book of Traces*, 1995).  The test makes a few whole-word byte operations
+per vertex that commutes with a higher one, none in a free product.
+Otherwise the live letters form a heap of pieces: each waits for the last
+earlier live letter of its own vertex and of every vertex it does not
+commute with.  Repeatedly emitting the waiting-free letter of smallest
+vertex, kept in a priority queue, gives the least order.  The cost is
+O(n m) for n letters on m vertices.
 
 Beware that the least order is not reachable by naively swapping adjacent
 out-of-order commuting letters: with commuting pairs {1,2} and {2,3} only,
@@ -51,6 +58,7 @@ overflow, and narrower once the entries have shrunk.
 """
 
 from heapq import heapify, heappop, heappush
+from itertools import compress
 
 from .intlinalg import IntMatrix
 
@@ -61,7 +69,7 @@ class GroupSpec:
     ``orders[i]`` is the order of g_{i+1}: an int >= 2 or None for infinite.
     """
 
-    __slots__ = ("m", "graph", "orders", "noncommuting")
+    __slots__ = ("m", "graph", "orders", "noncommuting", "order_tables")
 
     def __init__(self, graph, orders):
         orders = tuple(orders)
@@ -82,6 +90,9 @@ class GroupSpec:
                     noncommuting[i].append(j)
                     noncommuting[j].append(i)
         self.noncommuting = tuple(map(tuple, noncommuting))
+        # the tables of _in_least_order, built by the first normal form
+        # that needs them
+        self.order_tables = None
 
     @classmethod
     def coxeter(cls, graph):
@@ -122,8 +133,10 @@ def generator(v):
 def normal_form(word, spec):
     """The canonical representative of the group element spelt by ``word``.
 
-    One pass reduces and one extracts (see the module docstring); the cost
-    is O(n m) for n letters on m vertices.
+    One pass reduces; the reduced word is returned at once when
+    :func:`_in_least_order` finds it in least order, and a priority-queue
+    pass puts it in that order otherwise (see the module docstring).  The
+    cost is O(n m) for n letters on m vertices.
 
     >>> from coxkit.simplicial import Graph
     >>> rc = GroupSpec.coxeter(Graph(2, []))
@@ -167,6 +180,10 @@ def normal_form(word, spec):
         below.append(t)
         verts.append(i)
         exps.append(e)
+    # the live letters' 0-based vertices, one byte each (m <= 24)
+    live = bytes(compress(verts, exps))
+    if _in_least_order(live, spec):
+        return tuple(zip(map((1).__add__, live), filter(None, exps)))
     # extraction: each live letter waits for the last earlier live letter
     # of its own vertex and of each vertex not commuting with it (an edge
     # from a letter older than the same-vertex one is implied, so skipped)
@@ -202,6 +219,53 @@ def normal_form(word, spec):
             if not waiting[s]:
                 heappush(ready, (verts[s], s))
     return tuple(out)
+
+
+def _order_tables(adj):
+    """The tables of :func:`_in_least_order`: for each 0-based vertex j
+    that commutes with a higher vertex, three ``bytes.translate`` tables
+    from vertex to byte, 0xff at the vertices commuting with j, 0x01 at
+    those of them above j, and 0x01 at j."""
+    tables = []
+    for j, a in enumerate(adj):
+        if a >> j + 1:
+            fill = bytearray(256)
+            above = bytearray(256)
+            for i in range(len(adj)):
+                if a >> i & 1:
+                    fill[i] = 0xff
+                    above[i] = i > j
+            own = bytearray(256)
+            own[j] = 1
+            tables.append((bytes(fill), bytes(above), bytes(own)))
+    return tuple(tables)
+
+
+def _in_least_order(live, spec):
+    """Whether the word with the 0-based vertices ``live`` is the least
+    order of its letters: it has no factor b u a with a < b, where a
+    commutes with b and with every letter of u (Anisimov-Knuth).
+
+    Each letter is one byte: a Graph has m <= 24 (``MAX_VERTICES``), so
+    every vertex fits.  For each a = j, the tables translate ``live`` into
+    three little-endian ints: F with 0xff at the letters commuting with j,
+    U with 0x01 at those of them above j, J with 0x01 at the letters of j.
+    In F + U the carry of each U letter runs through the commuting letters
+    after it and lands as 0x01 on the first letter that does not commute
+    with j.  F and U are 0 at every letter of j, so F + U and J share a bit
+    exactly when a carry lands on one: a factor b u j.  The tables are
+    built on the first call for a spec and kept on it; a free product has
+    none, and every word passes.
+    """
+    tables = spec.order_tables
+    if tables is None:
+        tables = spec.order_tables = _order_tables(spec.graph.adj)
+    for fill, above, own in tables:
+        if (int.from_bytes(live.translate(fill), "little") +
+                int.from_bytes(live.translate(above), "little")) & \
+                int.from_bytes(live.translate(own), "little"):
+            return False
+    return True
 
 
 def _inverse_letters(u, spec):

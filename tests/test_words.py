@@ -55,6 +55,9 @@ def test_normal_form_least_shuffle_needs_lookahead():
     spec = GroupSpec.artin(Graph(3, [(1, 2), (2, 3)]))
     assert normal_form(((3, 1), (1, 1), (2, 1)), spec) == \
         ((2, 1), (3, 1), (1, 1))
+    # the least-order test looks past them too
+    assert not words_module._in_least_order(bytes([2, 0, 1]), spec)
+    assert words_module._in_least_order(bytes([1, 2, 0]), spec)
 
 
 def test_normal_form_merges_across_commuting_blocks():
@@ -733,3 +736,114 @@ def test_normal_form_output_is_pinned():
     assert words == 4410, words
     assert digest.hexdigest() == ("a9a5fa28048181361b14dd459838fbfc"
                                   "bac6aab77475a487de7ce10cd20a80ad")
+
+
+def _record_least_order_answers(monkeypatch):
+    """Patch the least-order test to record its answers, in this list."""
+    test = words_module._in_least_order
+    answers = []
+
+    def recorded(live, spec):
+        answers.append(test(live, spec))
+        return answers[-1]
+    monkeypatch.setattr(words_module, "_in_least_order", recorded)
+    return answers
+
+
+def test_least_order_shortcut_keeps_every_normal_form(monkeypatch):
+    # random words, their normal forms and commuting shuffles of those, so
+    # that the least-order test answers both ways; with the test forced to
+    # False, the heap pass must give the same normal forms
+    rng = random.Random(2718)
+    answers = _record_least_order_answers(monkeypatch)
+    cases = []
+    for t in range(6000):
+        m = rng.randint(1, 8)
+        spec = GroupSpec(random_graph(m, rng, rng.choice((0.2, 0.5, 0.8))),
+                         tuple(rng.choice((2, 3, None)) for _ in range(m)))
+        w = tuple((rng.randint(1, m), rng.randint(-3, 3))
+                  for _ in range(rng.randint(0, 40)))
+        if t % 3:
+            w = normal_form(w, spec)
+            if t % 3 == 2:
+                w = _commuting_shuffle(w, spec, rng)
+        cases.append((w, spec, normal_form(w, spec)))
+    assert answers.count(True) >= 2000 and answers.count(False) >= 2000
+    monkeypatch.setattr(words_module, "_in_least_order",
+                        lambda live, spec: False)
+    for w, spec, nf in cases:
+        assert normal_form(w, spec) == nf, (w, spec.graph.adj)
+
+
+def test_least_order_test_matches_brute_force():
+    # the test against the least member of the swap closure, on reduced
+    # words, on a random member of their closure and on its greatest
+    rng = random.Random(3141)
+    seen = {True: 0, False: 0}
+    for t in range(2400):
+        m = rng.randint(2, 6)
+        spec = GroupSpec(random_graph(m, rng, rng.choice((0.3, 0.6, 0.9))),
+                         tuple(rng.choice((2, 3, None)) for _ in range(m)))
+        w = _merge_reduce(tuple((rng.randint(1, m), rng.randint(-2, 2))
+                                for _ in range(rng.randint(0, 8))), spec)
+        closure = sorted(_swap_closure(w, spec))
+        if t % 3:
+            w = rng.choice(closure) if t % 3 == 1 else closure[-1]
+        least = w == closure[0]
+        live = bytes(v - 1 for v, _ in w)
+        assert words_module._in_least_order(live, spec) == least, \
+            (w, spec.graph.adj)
+        seen[least] += 1
+    assert seen[True] >= 500 and seen[False] >= 500, seen
+
+
+def test_heap_pass_is_rare_on_generator_words(monkeypatch):
+    # most generator words leave the reduction pass in least order already
+    answers = _record_least_order_answers(monkeypatch)
+    for K in (SimplicialComplex.points(8), SimplicialComplex.cycle(8)):
+        generator_words(K, enumerate_generators(K))
+    assert len(answers) == 1027
+    assert answers.count(False) <= 0.15 * len(answers), answers.count(False)
+
+
+def test_order_tables_are_built_once_and_not_with_the_spec(monkeypatch):
+    build = words_module._order_tables
+    calls = []
+    monkeypatch.setattr(words_module, "_order_tables",
+                        lambda adj: calls.append(adj) or build(adj))
+    graph = Graph(3, [(1, 2), (2, 3)])
+    for spec in _specs() + [GroupSpec.coxeter(graph),
+                            GroupSpec(graph, (2, 3, None))]:
+        assert spec.order_tables is None
+    spec = GroupSpec.artin(graph)
+    assert calls == [] and spec.order_tables is None
+    assert normal_form(((3, 1), (1, 1), (2, 1)), spec) == \
+        ((2, 1), (3, 1), (1, 1))
+    tables = spec.order_tables
+    assert len(tables) == 2             # vertices 1 and 2 have one above
+    for w in (((2, 1), (3, 1), (1, 1)), ((1, 1),), ()):
+        normal_form(w, spec)
+    assert calls == [spec.graph.adj] and spec.order_tables is tables
+    free = GroupSpec.coxeter(Graph(3, []))
+    normal_form(((1, 1), (2, 1)), free)
+    assert free.order_tables == ()
+
+
+def test_dropped_specs_never_answer_for_new_ones():
+    # a new spec often takes the id of one just dropped: tables cached by
+    # id would hand it the old spec's answer
+    rng = random.Random(99)
+    ids = set()
+    reused = 0
+    for _ in range(600):
+        m = rng.randint(2, 5)
+        spec = GroupSpec(random_graph(m, rng, rng.choice((0.3, 0.7))),
+                         tuple(rng.choice((2, None)) for _ in range(m)))
+        reused += id(spec) in ids
+        ids.add(id(spec))
+        w = tuple((rng.randint(1, m), rng.choice((1, -1)))
+                  for _ in range(rng.randint(0, 7)))
+        assert normal_form(w, spec) == \
+            min(_swap_closure(_merge_reduce(w, spec), spec))
+        del spec
+    assert reused, "no id was reused, so the loop tested nothing"
