@@ -83,6 +83,11 @@ def enumerate_generators(K):
     """The commutator-subgroup generators of ``K``, ordered by
     (support size, support mask, i).
 
+    They are emitted in that order with no sort: one increasing walk over
+    the masks appends each generator to the list for its support size,
+    and the components of a support come in increasing order of i.  The
+    lists are concatenated.
+
     ``K`` need not be flag: only the 1-skeleton matters.
 
     >>> from coxkit.simplicial import SimplicialComplex
@@ -90,30 +95,26 @@ def enumerate_generators(K):
     >>> [str(g) for g in gens]
     ['(g2,g1)', '(g3,g1)', '(g3,g2)', '(g2,(g3,g1))', '(g1,(g3,g2))']
     """
-    m = K.m
-    out = []
-    for mask in range(1 << m):
-        if mask.bit_count() < 2:
+    by_size = [[] for _ in range(K.m + 1)]
+    for mask in range(1 << K.m):
+        size = mask.bit_count()
+        if size < 2:
             continue
-        j_bit = 1 << (mask.bit_length() - 1)
         j = mask.bit_length()
-        j_comp = None
-        others = []
+        top = 1 << (j - 1)
+        out = by_size[size]
+        held = False
         for comp in _components_masks(K, mask):
-            if comp & j_bit:
-                j_comp = comp
-            else:
-                others.append(comp)
-        if j_comp is None:
+            if comp & top:
+                held = True
+                continue
+            low = comp & -comp
+            ks = tuple(b + 1 for b in _bits(mask ^ top ^ low))
+            out.append(CommutatorGenerator(ks, j, low.bit_length()))
+        if not held:
             raise RuntimeError(f"no component of support {mask:#x} holds "
                                f"its largest vertex {j}")
-        for comp in others:
-            i = (comp & -comp).bit_length()
-            ks = tuple(b + 1 for b in _bits(mask & ~(1 << (i - 1)) & ~j_bit))
-            out.append((mask.bit_count(), mask, i,
-                        CommutatorGenerator(ks, j, i)))
-    out.sort(key=lambda t: t[:3])
-    return [g for (_, _, _, g) in out]
+    return [g for out in by_size for g in out]
 
 
 def generator_count(K):

@@ -87,6 +87,12 @@ class SimplicialComplex:
     the unique complex with m = 0 (only the empty face) represents the
     restriction of a complex to the empty vertex subset.
 
+    The constructor checks all of this, downward closure included, and
+    raises ``ValueError`` naming a face whose face is missing.  The
+    package's own builders (:meth:`from_maximal_faces`,
+    :meth:`full_subcomplex`, :func:`clique_complex`) make closed face sets
+    and adopt them through :meth:`_adopt`, unchecked.
+
     ``listed`` holds faces whose downward closure, with the vertices, is
     the complex: the faces given to :meth:`from_maximal_faces`, each once,
     or else every face.
@@ -94,7 +100,7 @@ class SimplicialComplex:
 
     __slots__ = ("m", "faces", "listed", "_skeleton")
 
-    def __init__(self, m, faces, listed=None):
+    def __init__(self, m, faces):
         _check_vertex_count(m, 0)
         faces = frozenset(faces)
         if 0 not in faces:
@@ -106,10 +112,25 @@ class SimplicialComplex:
         for i in range(m):
             if (1 << i) not in faces:
                 raise ValueError(f"missing singleton face for vertex {i + 1}")
-        self.m = m
-        self.faces = faces
-        self.listed = faces if listed is None else listed
-        self._skeleton = None
+        for f in faces:
+            rest = f
+            while rest:
+                low = rest & -rest
+                if f ^ low not in faces:
+                    raise ValueError(
+                        f"face {[i + 1 for i in _bits(f)]} is present but "
+                        f"its face {[i + 1 for i in _bits(f ^ low)]} is not")
+                rest ^= low
+        self.m, self.faces, self.listed, self._skeleton = m, faces, faces, None
+
+    @classmethod
+    def _adopt(cls, m, faces, listed=None):
+        """Adopt ``faces``, a downward-closed set of masks on 1..m holding
+        the empty face and every singleton, unchecked."""
+        K = cls.__new__(cls)
+        K.m, K.faces, K._skeleton = m, frozenset(faces), None
+        K.listed = K.faces if listed is None else listed
+        return K
 
     # -- construction -----------------------------------------------------
 
@@ -129,7 +150,7 @@ class SimplicialComplex:
             while sub:
                 faces.add(sub)
                 sub = (sub - 1) & top
-        return cls(m, faces, tuple(listed))
+        return cls._adopt(m, faces, tuple(listed))
 
     @classmethod
     def simplex(cls, m):
@@ -211,7 +232,7 @@ class SimplicialComplex:
                 g |= newbit[low]
                 f ^= low
             faces.add(g)
-        return SimplicialComplex(len(newbit), faces)
+        return SimplicialComplex._adopt(len(newbit), faces)
 
 
 def maximal_among(K, masks):
@@ -291,7 +312,7 @@ def clique_complex(graph):
     The result is flag and has ``graph`` as its 1-skeleton.
     """
     faces = {0, *(1 << i for i in range(graph.m)), *_cliques(graph)}
-    return SimplicialComplex(graph.m, faces)
+    return SimplicialComplex._adopt(graph.m, faces)
 
 
 def is_flag(K):

@@ -157,6 +157,19 @@ def test_check_splitting_and_certify(tmp_path, capsys):
     assert doc["verdict"] and doc["basis"] and doc["count"] == 2
 
 
+def test_certify_with_a_word_short_is_a_false_verdict(
+        tmp_path, capsys, monkeypatch):
+    # a false verdict exits 1, not 3: nothing inside the check failed
+    short = cubical.generator_words
+    monkeypatch.setattr(cubical, "generator_words",
+                        lambda K, gens: short(K, gens)[:-1])
+    code, out, err = run(capsys, "certify", "--json", write(tmp_path, C4_DOC))
+    doc = json.loads(out)
+    assert code == 1 and err == ""
+    assert [doc[k] for k in ("count", "kernel", "nontrivial", "basis",
+                             "verdict")] == [1, True, True, False, False]
+
+
 def test_pi1_command(tmp_path, capsys):
     path = write(tmp_path, C4_DOC)
     code, out, _ = run(capsys, "pi1", "--json", path)

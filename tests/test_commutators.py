@@ -68,22 +68,28 @@ def test_count_identity_three_paths():
 
 
 def test_generator_structure_and_ordering():
-    gens = enumerate_generators(PATH4)
+    rng = random.Random(20261020)
+    complexes = [PATH4, SimplicialComplex.points(8), SimplicialComplex.cycle(8)]
+    complexes += [random_complex(m, rng) for m in range(4, 10)
+                  for _ in range(2)]
 
     def mask(vertices):
         return sum(1 << (v - 1) for v in vertices)
-    keys = [(len(support(g)), mask(support(g)), g.i) for g in gens]
-    assert keys == sorted(keys)
-    for g in gens:
-        assert g.j == max(support(g))
-        assert g.i < g.j and g.i not in g.ks
-        assert list(g.ks) == sorted(g.ks)
-        # i is the smallest vertex of its component avoiding j
-        # the restriction numbers support(g) 1..l in increasing order
-        sub = PATH4.full_subcomplex(list(support(g)))
-        new = {v: k + 1 for k, v in enumerate(support(g))}
-        comp = next(c for c in components(sub) if new[g.i] in c)
-        assert new[g.j] not in comp and min(comp) == new[g.i]
+    for K in complexes:
+        gens = enumerate_generators(K)
+        assert len(gens) == generator_count(K)
+        keys = [(len(support(g)), mask(support(g)), g.i) for g in gens]
+        assert keys == sorted(keys) and len(set(keys)) == len(keys)
+        for g in gens:
+            assert g.j == max(support(g))
+            assert g.i < g.j and g.i not in g.ks
+            assert list(g.ks) == sorted(g.ks)
+            # i is the smallest vertex of its component avoiding j
+            # the restriction numbers support(g) 1..l in increasing order
+            sub = K.full_subcomplex(list(support(g)))
+            new = {v: k + 1 for k, v in enumerate(support(g))}
+            comp = next(c for c in components(sub) if new[g.i] in c)
+            assert new[g.j] not in comp and min(comp) == new[g.i]
 
 
 def test_generator_validation():
@@ -93,6 +99,8 @@ def test_generator_validation():
         CommutatorGenerator((3, 2), 4, 1)
     with pytest.raises(ValueError):
         CommutatorGenerator((2,), 4, 2)
+    with pytest.raises(ValueError, match="ks must stay below j"):
+        CommutatorGenerator((3,), 2, 1)
 
 
 def test_nested_serialisation():

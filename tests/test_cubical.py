@@ -376,6 +376,10 @@ def test_word_to_loop_requirements():
     artin = GroupSpec.artin(C4.one_skeleton())
     with pytest.raises(ValueError):
         word_to_loop(R, (), artin)                   # orders must be 2
+    with pytest.raises(ValueError, match="different ranks"):
+        word_to_loop(R, (), coxeter_spec(PATH4.full_subcomplex([1, 2, 3])))
+    # an even exponent is the identity: no step
+    assert word_to_loop(R, ((1, 2),), spec) == []
     # a closing word really is a closed path
     loop = word_to_loop(R, ((1, 1), (2, 1), (1, 1), (2, 1)), spec)
     assert len(loop) == 4
@@ -448,6 +452,20 @@ def test_basis_check_rejects_a_repeated_or_squared_generator():
                       multiply(gen_words[r], gen_words[r], spec)):
                 changed = gen_words[:r] + [w] + gen_words[r + 1:]
                 assert not cubical._is_homology_basis(K, spec, changed)
+
+
+def test_basis_check_rejects_a_dropped_generator():
+    # one word short fails the count check; a word replaced by a copy of
+    # another, the right count, is the test above
+    rng = random.Random(20261022)
+    complexes = [PATH4, C4, SimplicialComplex.points(4)]
+    complexes += [random_complex(m, rng) for m in (5, 6) for _ in range(3)]
+    complexes = [K for K in complexes if generator_count(K)]
+    assert len(complexes) >= 6
+    for K in complexes:
+        spec = coxeter_spec(K)
+        gen_words = generator_words(K, enumerate_generators(K))
+        assert not cubical._is_homology_basis(K, spec, gen_words[:-1])
 
 
 def test_wedge_signature():

@@ -199,6 +199,8 @@ def test_left_reduction_kills_image_vectors():
 def test_intmatrix_validation():
     with pytest.raises(ValueError):
         IntMatrix(2, 2, {(2, 0): 1})
+    with pytest.raises(ValueError, match="must be non-negative"):
+        IntMatrix(-1, 2)
     with pytest.raises(ValueError):
         IntMatrix.from_dense([[1, 2], [3]])
     M = IntMatrix.from_dense([[1, 2], [3, 4]])

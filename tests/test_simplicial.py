@@ -438,3 +438,50 @@ def test_boolean_vertex_counts_rejected():
         SimplicialComplex.from_maximal_faces(True, [[1]])
     with pytest.raises(ValueError, match="vertex count True"):
         SimplicialComplex(True, [0, 1])
+
+
+def test_constructor_rejects_a_face_set_that_is_not_closed():
+    # {1,2,3} without any of its edges: before the check, is_flag said
+    # True and the homology raised a bare KeyError
+    with pytest.raises(ValueError, match=r"face \[1, 2, 3\] is present but "
+                                         r"its face \[2, 3\] is not"):
+        SimplicialComplex(3, {0, 1, 2, 4, 7})
+    with pytest.raises(ValueError, match=r"its face \[1, 3\] is not"):
+        SimplicialComplex(3, {0, 1, 2, 4, 3, 6, 7})
+    K = SimplicialComplex(3, {0, 1, 2, 4, 3, 5, 6, 7})
+    assert K == SimplicialComplex.simplex(3) and K.listed == K.faces
+
+
+def test_constructor_input_checks():
+    with pytest.raises(ValueError, match="empty face must be present"):
+        SimplicialComplex(2, {1, 2, 3})
+    with pytest.raises(ValueError, match="uses vertices beyond 2"):
+        SimplicialComplex(2, {0, 1, 2, 4})
+    with pytest.raises(ValueError, match="missing singleton face for vertex 2"):
+        SimplicialComplex(2, {0, 1})
+    with pytest.raises(ValueError, match="loops not allowed"):
+        Graph(3, [(1, 2), (2, 2)])
+    with pytest.raises(ValueError, match="at least 3 vertices"):
+        SimplicialComplex.cycle(2)
+
+
+def test_builders_adopt_their_faces_unchecked(monkeypatch):
+    # from_maximal_faces, full_subcomplex and clique_complex make closed
+    # face sets themselves, so they never run the constructor's checks
+    rng = random.Random(20261020)
+    complexes = [random_complex(m, rng) for m in range(1, 8)]
+
+    def checked(self, m, faces):
+        raise AssertionError("the constructor ran")
+    monkeypatch.setattr(SimplicialComplex, "__init__", checked)
+    for K in complexes:
+        assert SimplicialComplex.from_maximal_faces(
+            K.m, K.maximal_faces()) == K
+        assert clique_complex(K.one_skeleton()).one_skeleton() == \
+            K.one_skeleton()
+        J = [v for v in range(1, K.m + 1) if rng.random() < 0.6]
+        sub = K.full_subcomplex(J)
+        assert sub.m == len(J) and sub.listed is sub.faces
+    monkeypatch.undo()
+    for K in complexes:
+        assert SimplicialComplex(K.m, K.faces) == K
