@@ -29,9 +29,9 @@ by a scan of the closure; otherwise it prints ``lines``, so the text report
 never builds the echo.
 
 The argument parser is built on the first :func:`main` call and reused by
-every later call in the process; nothing is built at import.  The size
-caps (``MAX_CUBE_VERTICES``, ``MAX_CHECK_VERTICES``, ``MAX_VERTICES``) are
-read on each call, so a cap changed between calls applies to the next.
+every later call in the process, not at import.  The size caps
+(``MAX_CUBE_VERTICES``, ``MAX_CHECK_VERTICES``, ``MAX_VERTICES``) are read
+on each call, so a cap changed between calls applies to the next.
 """
 
 import argparse
@@ -64,6 +64,10 @@ _TOKEN = (r'"(?:[^"\\]|\\.)*"|[A-Za-z_][A-Za-z0-9_]*|'
 # Size caps on m, where a command builds more than the face closure
 MAX_CUBE_VERTICES = 12      # the cube model: 2^(m - |f|) cells per face f
 MAX_CHECK_VERTICES = 10     # splitting check, certificate, generator words
+
+# one line of the text report per generator or word; a payload is built
+# fresh for each call and holds no cycle, so no circular-reference check
+_dumps_line = json.JSONEncoder(check_circular=False).encode
 
 
 def parse_document(text, cap=MAX_VERTICES):
@@ -189,10 +193,10 @@ def cmd_gens(K, args):
                "per_length": {str(k): v for k, v in per_length}}
     head = [f"count: {count}", "per-length: " + (
         " ".join(f"{k}:{v}" for k, v in per_length) or "-")]
-    out = map(json.dumps, payload["generators"])
+    out = map(_dumps_line, payload["generators"])
     if args.words:
         payload["words"] = commutators.generator_words(K, gens)
-        out = map(" = ".join, zip(out, map(json.dumps, payload["words"])))
+        out = map(" = ".join, zip(out, map(_dumps_line, payload["words"])))
     return True, payload, chain(head, out)
 
 
@@ -375,7 +379,7 @@ def main(argv=None):
             if K is not None:
                 echo = simplicial.maximal_among(K, K.listed)
                 payload = {"m": K.m, "maximal_faces": echo, **payload}
-            print(json.dumps(payload, sort_keys=True))
+            print(json.dumps(payload, sort_keys=True, check_circular=False))
         else:
             for line in lines:
                 print(line)

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 from .simplicial import _bits, _components_masks, is_chordal, is_flag
 # ``evaluate`` stays a name of this module: the benchmark's spans wrap it here
-from .words import GroupSpec, commutator, evaluate, generator
+from .words import (GroupSpec, _in_least_order, _is_reduced, _reduced_tables,
+                    commutator, evaluate, generator)
 
 
 class NotFlagError(ValueError):
@@ -148,14 +149,38 @@ def generator_words(K, gens):
     and has zero abelianisation.
     Each is one commutator with an earlier word: dropping k_1 from S keeps
     j = max S and only shrinks the component of i, so (ks[1:], j, i) is a
-    generator too, on a smaller support and so enumerated earlier."""
+    generator too, on a smaller support and so enumerated earlier.
+
+    In a right-angled Coxeter group g^-1 = g and every normal-form letter
+    is (v, 1), so (g, w') normalises the vertices g reversed(w') g w'.
+    Each word keeps its 0-based vertices as ``bytes`` beside it, and the
+    next word's are a concatenation.  When :func:`~coxkit.words._is_reduced`
+    and :func:`~coxkit.words._in_least_order` both accept them, the letters
+    are read off them.  That is exactly :func:`~coxkit.words.normal_form`'s
+    answer: its reduction pass merges only the pairs that the first test
+    looks for, so the word leaves it as it stands, and the second test then
+    returns it.  It is the canonical word because reduced words for one
+    element differ only by commuting swaps (E. R. Green, *Graph products of
+    groups*, PhD thesis, Leeds 1990), so their least order is unique.  Any
+    other word goes through :func:`commutator`."""
     spec = coxeter_spec(K)
+    tables = _reduced_tables(spec.graph.adj)
+    letters = [(v, 1) for v in range(1, K.m + 1)]
     words = {}
     for g in gens:
-        outer, inner = (g.ks[0], words[g.ks[1:], g.j, g.i]) if g.ks \
-            else (g.j, generator(g.i))
-        words[g.ks, g.j, g.i] = commutator(generator(outer), inner, spec)
-    return list(words.values())
+        if g.ks:
+            outer, (inner, live) = g.ks[0], words[g.ks[1:], g.j, g.i]
+        else:
+            outer, inner, live = g.j, generator(g.i), bytes((g.i - 1,))
+        top = bytes((outer - 1,))
+        live = top + live[::-1] + top + live
+        if _is_reduced(live, tables) and _in_least_order(live, spec):
+            word = tuple(map(letters.__getitem__, live))
+        else:
+            word = commutator(generator(outer), inner, spec)
+            live = bytes([v - 1 for v, _ in word])
+        words[g.ks, g.j, g.i] = word, live
+    return [word for word, _ in words.values()]
 
 
 def commutator_subgroup_is_free(K):

@@ -40,6 +40,12 @@ an adjacent swappable pair.  The extraction above looks past such pairs
 because a letter is free once everything before it commutes with it, not
 only its neighbour.
 
+Beside the least-order test, a second byte test, :func:`_is_reduced`,
+finds a word of involutions reduced already when no two letters of one
+vertex have only letters commuting with that vertex between them.
+:func:`coxkit.commutators.generator_words` reads each generator word off
+its vertices when both tests accept them, with no normal form.
+
 :func:`evaluate` takes a nested commutator in the nested-array form that
 ``coxkit gens`` prints, e.g. [2, [4, 1]] for (g_2, (g_4, g_1)), and
 returns its normal form.
@@ -264,6 +270,43 @@ def _in_least_order(live, spec):
         if (int.from_bytes(live.translate(fill), "little") +
                 int.from_bytes(live.translate(above), "little")) & \
                 int.from_bytes(live.translate(own), "little"):
+            return False
+    return True
+
+
+def _reduced_tables(adj):
+    """The tables of :func:`_is_reduced`: for each 0-based vertex j, two
+    ``bytes.translate`` tables from vertex to byte, 0xff at j and at the
+    vertices commuting with j, and 0x01 at j."""
+    tables = []
+    for j, a in enumerate(adj):
+        a |= 1 << j
+        fill = bytes(0xff if a >> i & 1 else 0 for i in range(256))
+        own = bytearray(256)
+        own[j] = 1
+        tables.append((fill, bytes(own)))
+    return tuple(tables)
+
+
+def _is_reduced(live, tables):
+    """Whether the word of involutions with the 0-based vertices ``live``
+    is reduced: no two letters of one vertex j are separated only by
+    letters commuting with j.  Such a pair is exactly what the reduction
+    pass of :func:`normal_form` merges, so a word of letters (v, 1) in a
+    right-angled Coxeter group that passes leaves that pass unchanged.
+
+    ``tables`` is ``_reduced_tables(spec.graph.adj)``.  For each j they
+    translate ``live`` into two little-endian ints: F with 0xff at the
+    letters of j and of the vertices commuting with j, J with 0x01 at the
+    letters of j.  In F + J the carry of each letter of j runs through the
+    0xff letters after it, and a letter of j that it reaches turns its own
+    carry into bit 0.  A letter that does not commute with j absorbs the
+    carry, so F + J and J share a bit exactly when two letters of j have
+    only commuting letters between them.
+    """
+    for fill, own in tables:
+        j = int.from_bytes(live.translate(own), "little")
+        if (int.from_bytes(live.translate(fill), "little") + j) & j:
             return False
     return True
 

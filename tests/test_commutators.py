@@ -3,6 +3,7 @@ from math import comb
 
 import pytest
 
+from coxkit import commutators
 from coxkit.commutators import (CommutatorGenerator, NotFlagError,
                                 commutator_subgroup_is_free, coxeter_spec,
                                 enumerate_generators, generator_count,
@@ -138,6 +139,38 @@ def test_generator_words_match_each_generators_own_word():
             seen.add((g.ks, g.j, g.i))
         spec = coxeter_spec(K)
         assert generator_words(K, gens) == [g.word(spec) for g in gens]
+
+
+def test_reduced_shortcut_keeps_every_generator_word(monkeypatch):
+    # a generator word that passes the reducedness and least-order tests is
+    # read off its vertices; with the reducedness test forced to False
+    # every word goes through commutator, and the words must be the same
+    rng = random.Random(20261020)
+    complexes = [f(m) for m in range(4, 10) for f in (
+        SimplicialComplex.points, SimplicialComplex.cycle)]
+    complexes += [random_complex(rng.randint(4, 9), rng) for _ in range(12)]
+    routes = {"shortcut": 0, "not reduced": 0, "not least": 0}
+    reduced, least = commutators._is_reduced, commutators._in_least_order
+
+    def recorded_reduced(live, tables):
+        if not reduced(live, tables):
+            routes["not reduced"] += 1
+            return False
+        return True
+
+    def recorded_least(live, spec):
+        answer = least(live, spec)
+        routes["shortcut" if answer else "not least"] += 1
+        return answer
+    monkeypatch.setattr(commutators, "_is_reduced", recorded_reduced)
+    monkeypatch.setattr(commutators, "_in_least_order", recorded_least)
+    expected = [generator_words(K, enumerate_generators(K))
+                for K in complexes]
+    assert sum(map(len, expected)) == sum(routes.values())
+    assert min(routes.values()) >= 200, routes
+    monkeypatch.setattr(commutators, "_is_reduced", lambda live, tables: False)
+    for K, got in zip(complexes, expected):
+        assert generator_words(K, enumerate_generators(K)) == got
 
 
 def test_freeness_criterion():

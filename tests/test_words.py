@@ -797,13 +797,58 @@ def test_least_order_test_matches_brute_force():
     assert seen[True] >= 500 and seen[False] >= 500, seen
 
 
+def test_reducedness_test_matches_brute_force():
+    # against its definition: some two letters of one vertex with only
+    # letters commuting with that vertex between them; random words, and
+    # words with an adjacent same-vertex pair, with a pair whose commuting
+    # run ends at the last letter, and with a letter followed by a
+    # commuting run to the end of the word (its carry leaves the word)
+    rng = random.Random(1618)
+    seen = {True: 0, False: 0}
+    shapes = {"adjacent": 0, "closing run": 0, "open run": 0}
+    for t in range(4000):
+        m = rng.randint(1, 8)
+        graph = random_graph(m, rng, rng.choice((0.2, 0.5, 0.8)))
+        adj = graph.adj
+        shape = t % 4
+        w = [rng.randrange(m) for _ in range(rng.randint(shape == 1, 6))]
+        j = rng.randrange(m)
+        run = [rng.choice([i for i in range(m) if adj[j] >> i & 1] or [j])
+               for _ in range(rng.randint(0, 4))]
+        run = [i for i in run if i != j]
+        if shape == 1:
+            k = rng.randrange(len(w))
+            w.insert(k, w[k])
+        elif shape == 2:
+            w += [j] + run + [j]
+        elif shape == 3:
+            w += [j] + run
+        shapes["adjacent"] += any(a == b for a, b in zip(w, w[1:]))
+        shapes["closing run"] += shape == 2 and bool(run)
+        shapes["open run"] += shape == 3 and bool(run)
+        reducible = any(
+            w[p] == w[q] and all(adj[w[p]] >> w[r] & 1
+                                 for r in range(p + 1, q))
+            for p in range(len(w)) for q in range(p + 1, len(w)))
+        got = words_module._is_reduced(bytes(w),
+                                       words_module._reduced_tables(adj))
+        assert got == (not reducible), (w, adj)
+        seen[got] += 1
+    assert seen[True] >= 500 and seen[False] >= 500, seen
+    assert min(shapes.values()) >= 500, shapes
+
+
 def test_heap_pass_is_rare_on_generator_words(monkeypatch):
-    # most generator words leave the reduction pass in least order already
+    # most generator words leave the reduction pass in least order already:
+    # generator_words reads those off their vertices with no normal form,
+    # and each other word makes one normal form, recorded here; a heap pass
+    # is a recorded False, out of every generator word
     answers = _record_least_order_answers(monkeypatch)
+    count = 0
     for K in (SimplicialComplex.points(8), SimplicialComplex.cycle(8)):
-        generator_words(K, enumerate_generators(K))
-    assert len(answers) == 1027
-    assert answers.count(False) <= 0.15 * len(answers), answers.count(False)
+        count += len(generator_words(K, enumerate_generators(K)))
+    assert count == 1027 and len(answers) < count
+    assert answers.count(False) <= 0.15 * count, answers.count(False)
 
 
 def test_order_tables_are_built_once_and_not_with_the_spec(monkeypatch):
