@@ -3,9 +3,11 @@
 For a complex K on [m], the model is the union, over faces I of K, of the
 faces of the cube [-1, 1]^m whose free coordinates are exactly I and whose
 remaining coordinates are pinned to +-1.  Each face I with k vertices
-contributes 2^(m-k) k-dimensional cells.  The 1-skeleton is always the full
-cube graph (every singleton is a face), so the model is connected and words
-in the associated Coxeter group trace edge paths on it: the letter g_i walks
+contributes 2^(m-k) k-dimensional cells, one per sign pattern on the other
+coordinates, and every boundary incidence follows from I, the pinned
+coordinate and a bit count.  The 1-skeleton is always the full cube graph
+(every singleton is a face), so the model is connected and words in the
+associated Coxeter group trace edge paths on it: the letter g_i walks
 along the axis-i edge at the current corner.  Its spanning tree is read off
 in closed form: an axis-i edge is a tree edge exactly when every coordinate
 above i is +1.
@@ -18,6 +20,7 @@ homology classes of word loops.
 
 from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import words
 # ``generator_count`` stays a name of this module, though nothing here calls
@@ -25,8 +28,7 @@ from . import words
 from .commutators import (coxeter_spec, enumerate_generators,
                           generator_count, generator_words)
 from .intlinalg import (HomologyGroup, IntMatrix, LeftReduction,
-                        boundary_maps, chain_homology, direct_sum,
-                        smith_normal_form)
+                        chain_homology, direct_sum, smith_normal_form)
 from .simplicial import _bits, reduced_homology
 
 
@@ -40,8 +42,12 @@ class CubeComplex:
     the alternating sum over t of (cell with i_t pinned to +1) minus (cell
     with i_t pinned to -1), with sign (-1)^(t-1).
 
-    The boundaries and the loop system are built on one int key per cell,
-    ``free << m | signs``, in the same order, so neither builds the pairs.
+    Each face of K owns one contiguous block of cells per degree, its signs
+    in increasing order, so the boundaries are built by block arithmetic
+    (:meth:`_boundary`): a face's row is its block's offset plus its signs'
+    rank, with no per-cell lookup.  The loop system reads d_2 from the same
+    builder, and walks edges and squares as one int key per cell,
+    ``free << m | signs``, in the same order; neither builds the pairs.
     """
 
     def __init__(self, K):
@@ -50,10 +56,19 @@ class CubeComplex:
         # a face with k vertices spans k-dimensional cube faces, so the cell
         # dimensions run up to (simplicial dimension + 1)
         self.dim = K.dim() + 1
+        self._face_lists = {}
         self._cells = None
         self._boundaries = None
         self._homology = None
         self._loops = None
+
+    def _faces(self, k):
+        """The faces of K with k vertices, in increasing order, listed once
+        per model."""
+        faces = self._face_lists.get(k)
+        if faces is None:
+            faces = self._face_lists[k] = self.K.faces_of_size(k)
+        return faces
 
     def _keys(self, k):
         """The k-cells as int keys ``free << m | signs``, in the order of
@@ -61,7 +76,7 @@ class CubeComplex:
         m = self.m
         full = (1 << m) - 1
         level = []
-        for free in self.K.faces_of_size(k):
+        for free in self._faces(k):
             rest = full & ~free
             # the subsets of rest in increasing order
             signs = 0
@@ -72,23 +87,6 @@ class CubeComplex:
                 signs = (signs - rest) & rest
         return level
 
-    def _key_faces(self, key):
-        """The (face key, sign) pairs of a cell's boundary, in the class
-        docstring's order, two per free coordinate from the lowest up:
-        pinning coordinate i clears bit i of ``free`` and, for +1, sets
-        bit i of ``signs``."""
-        m = self.m
-        out = []
-        free = key >> m
-        sign = 1
-        while free:
-            low = free & -free
-            free -= low
-            face = key - (low << m)
-            out += ((face + low, sign), (face, -sign))
-            sign = -sign
-        return out
-
     @property
     def cells(self):
         """The cells per dimension, as new lists on each access."""
@@ -98,12 +96,58 @@ class CubeComplex:
                                 for k in range(self.dim + 1))
         return [list(level) for level in self._cells]
 
+    def _boundary(self, k):
+        """d_k, the boundary from the k-cells to the (k-1)-cells, built
+        afresh on each call.
+
+        A face F with k vertices owns the block of 2^(m-k) columns that
+        follows the blocks of the faces before it, with its signs in
+        increasing order, so the column at rank t inside the block has
+        signs t spread over the coordinates outside F.  Pinning coordinate
+        i of F lands in the block of F - i, where the sign of i is one more
+        bit, at position p = the number of coordinates outside F below i:
+        the -1 face is at rank ((t >> p) << (p + 1)) + (t & (2^p - 1)) and
+        the +1 face 2^p further on, with the signs of the class docstring.
+        Rows are filled one column at a time, so the 2k entries of a column
+        share its index.
+        """
+        m = self.m
+        full = (1 << m) - 1
+        below = self._faces(k - 1) if k else ()
+        width = m - k + 1               # a (k-1)-face owns 2^width rows
+        offset = {face: i << width for i, face in enumerate(below)}
+        rows = [{} for _ in range(len(below) << width)]
+        faces = self._faces(k)
+        n = 1 << (m - k) if faces else 0
+        c0 = 0
+        for free in faces:
+            rest = full & ~free
+            pins = []
+            sign = 1
+            f = free
+            while f:
+                low = f & -f
+                f -= low
+                p = (rest & (low - 1)).bit_count()
+                half = 1 << p
+                pins.append((offset[free - low], p, p + 1, half - 1, half,
+                             -sign, sign))
+                sign = -sign
+            for t in range(n):
+                c = c0 + t
+                for base, p, p1, mask, half, minus, plus in pins:
+                    r = base + (t >> p << p1) + (t & mask)
+                    rows[r][c] = minus
+                    rows[r + half][c] = plus
+            c0 += n
+        return IntMatrix._from_rows(len(rows), c0,
+                                    {r: e for r, e in enumerate(rows) if e})
+
     @property
     def boundaries(self):
         """The boundary matrices, as a new list on each access."""
         if self._boundaries is None:
-            self._boundaries = tuple(boundary_maps(
-                [self._keys(k) for k in range(self.dim + 1)], self._key_faces))
+            self._boundaries = tuple(map(self._boundary, range(self.dim + 1)))
         return list(self._boundaries)
 
     def cell_counts(self):
@@ -211,52 +255,67 @@ class _LoopSystem:
     coordinates follow by reducing modulo the image of the 2-cell
     boundaries via a Smith left transform.
 
-    Edges and squares are read as the cube model's int keys, ``free << m
-    | signs``, and a square's faces come from ``R._key_faces``.
-    ``nontree`` lists the non-tree edges as (axis, signs) pairs,
-    ``nontree_index`` maps each one's int key to its position there, and
-    ``relator_words`` holds each square's boundary walk as signed 1-based
-    non-tree edge ids.
+    Edges are read as the cube model's int keys, ``free << m | signs``.
+    ``nontree`` lists the non-tree edges as (axis, signs) pairs, and
+    ``nontree_index`` maps each one's int key to its position there.  The
+    relator matrix is the model's d_2 (``R._boundary(2)``) on the non-tree
+    rows, re-keyed to their positions.  ``relator_words``, built on first
+    use, holds each square's boundary walk as signed 1-based non-tree edge
+    ids, in the squares' order.  Nothing here holds the model itself: the
+    model caches its loop system, and a reference back would make a cycle
+    that only the garbage collector frees.
     """
 
     def __init__(self, R):
-        m = R.m
+        self._m = m = R.m
         full = (1 << m) - 1
+        self._edges = R._faces(2)       # the faces of K that span squares
         self.nontree = []
         self.nontree_index = {}
-        for key in R._keys(1):
+        ids = {}                        # row of d2 -> non-tree id
+        for r, key in enumerate(R._keys(1)):
             axis = (key >> m).bit_length() - 1
             signs = key & full
             if signs >> (axis + 1) != full >> (axis + 1):
-                self.nontree_index[key] = len(self.nontree)
+                ids[r] = self.nontree_index[key] = len(self.nontree)
                 self.nontree.append((axis, signs))
         self.rank_cycles = len(self.nontree)    # = E - V + 1
-        # each square's boundary on the non-tree edges, once as a relator
-        # word and once as a column of the relator matrix
-        squares = R._keys(2)
-        rows = {}
-        self.relator_words = []
-        for c, key in enumerate(squares):
-            faces = R._key_faces(key)
-            # for a square on axes i < j the faces come as: j at i=+1 (+),
-            # j at i=-1 (-), i at j=+1 (-), i at j=-1 (+); the walk from the
-            # (-,-) corner takes them in the order 3, 0, 2, 1, each along
-            # its sign
-            word = []
-            for k in (3, 0, 2, 1):
-                face, sign = faces[k]
-                idx = self.nontree_index.get(face)
-                if idx is not None:
-                    rows.setdefault(idx, {})[c] = sign
-                    word.append(sign * (idx + 1))
-            self.relator_words.append(tuple(word))
-        self.relators = IntMatrix._from_rows(self.rank_cycles,
-                                             len(squares), rows)
+        # d2's rows on the non-tree edges, re-keyed to their ids
+        d2 = R._boundary(2)
+        self.relators = IntMatrix._from_rows(
+            self.rank_cycles, d2.cols,
+            {ids[r]: e for r, e in d2._row.items() if r in ids})
         self.reduction = LeftReduction(self.relators)
         if any(d > 1 for d in self.reduction.factors):
             raise AssertionError(
                 "unexpected torsion in degree-1 homology of a cubical model")
         self.betti1 = self.rank_cycles - self.reduction.rank
+
+    @cached_property
+    def relator_words(self):
+        """Each square's boundary walk, as signed 1-based non-tree ids."""
+        m, index = self._m, self.nontree_index
+        full = (1 << m) - 1
+        out = []
+        for free in self._edges:
+            i = free & -free
+            j = free - i
+            rest = full & ~free
+            signs = 0
+            while True:
+                # the walk from the (-,-) corner of the square on axes
+                # i < j: +i at j=-1, +j at i=+1, -i at j=+1, -j at i=-1
+                word = []
+                for key, d in ((i << m | signs, 1), (j << m | signs | i, 1),
+                               (i << m | signs | j, -1), (j << m | signs, -1)):
+                    idx = index.get(key)
+                    if idx is not None:
+                        word.append(d * (idx + 1))
+                out.append(tuple(word))
+                if signs == rest:
+                    break
+                signs = (signs - rest) & rest
+        return out
 
     def vector(self, steps):
         """A closed edge path's signed traversal counts {non-tree edge: n},

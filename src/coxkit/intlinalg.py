@@ -516,7 +516,11 @@ def boundary_maps(levels, faces):
     """Boundary matrices for :func:`chain_homology` of the complex with
     degree-k cells ``levels[k]``, where ``faces(cell)`` yields the (face,
     sign) pairs of a cell's boundary: distinct cells of the level below,
-    each with a nonzero integer sign.  The rows are filled directly."""
+    each with a nonzero integer sign.  The rows are filled directly.
+
+    This is the simplicial complexes' builder, and the tests' reference for
+    the cube model's, which reads its faces off by block arithmetic
+    (``CubeComplex._boundary``)."""
     boundaries = [IntMatrix._from_rows(0, len(levels[0]), {})]
     for k in range(1, len(levels)):
         below = dict(zip(levels[k - 1], range(len(levels[k - 1]))))

@@ -62,6 +62,10 @@ def test_int_keyed_builder_matches_the_tuple_faces():
     Ks += [random_complex(m, rng) for m in (6, 7, 8) for _ in range(2)]
     Ks += [SimplicialComplex.cycle(9), SimplicialComplex.simplex(6),
            SimplicialComplex.points(5)]
+    # maximal faces of mixed sizes: the cells of a maximal face have no
+    # cofaces, so their rows in the boundary above are empty
+    Ks += [random_complex(m, rng) for m in (9, 10) for _ in range(2)]
+    Ks += [SimplicialComplex.points(6), SimplicialComplex.simplex(7)]
     for K in Ks:
         R = build(K)
         R.homology()
@@ -71,6 +75,14 @@ def test_int_keyed_builder_matches_the_tuple_faces():
                 for k in range(K.dim() + 2)]
         assert R.cells == want
         assert R.boundaries == intlinalg.boundary_maps(R.cells, cube_faces)
+        # the rows are adopted unchecked, and is_zero() trusts that none
+        # is empty
+        counts = [0] + R.cell_counts()
+        for k, d in enumerate(R.boundaries):
+            assert (d.rows, d.cols) == (counts[k], counts[k + 1])
+            assert all(d._row.values())
+            assert all(0 <= r < d.rows and 0 <= c < d.cols and v
+                       for (r, c), v in d.items())
 
 
 def test_build_takes_m_above_the_command_cap():
