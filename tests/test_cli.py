@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -8,6 +9,7 @@ import re
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -16,7 +18,7 @@ from coxkit import cli, commutators, cubical, simplicial, words
 from coxkit.cli import DocumentError, main, parse_document
 from coxkit.intlinalg import IntMatrix
 from coxkit.simplicial import SimplicialComplex
-from helpers import random_complex
+from helpers import RP2, all_complexes, random_complex
 
 PATH4_DOC = '{"m": 4, "maximal_faces": [[1,2],[2,3],[4]]}'
 C4_DOC = '{m: 4, maximal_faces: [[1,2],[2,3],[3,4],[4,1]]}'
@@ -622,3 +624,73 @@ def test_fuzzed_documents_exit_0_1_or_2_through_main():
         assert code in (0, 1, 2), err.getvalue()
         assert code != 2 or out.getvalue() == ""
     check()
+
+
+def _pin_documents():
+    """The documents of :func:`test_every_command_output_is_pinned`: every
+    complex with m <= 4; points, cycle and simplex for m = 5-8; RP^2;
+    seeded random complexes with m 5-8, half of them listing non-maximal,
+    repeated and reversed faces in shuffled order; and documents that are
+    over a cap or malformed."""
+    def doc(K):
+        return json.dumps({"m": K.m, "maximal_faces": K.maximal_faces()})
+    docs = [doc(K) for m in range(1, 5) for K in all_complexes(m)]
+    docs += [doc(make(m)) for m in range(5, 9)
+             for make in (SimplicialComplex.points, SimplicialComplex.cycle,
+                          SimplicialComplex.simplex)]
+    docs.append(json.dumps({"m": 6, "maximal_faces": RP2}))
+    rng = random.Random(20261021)
+    for n in range(8):
+        faces = random_complex(5 + n % 4, rng).maximal_faces()
+        if n % 2:
+            faces += [f[::-1] for f in faces[:3]] + \
+                [sorted(rng.sample(f, rng.randint(1, len(f))))
+                 for f in faces]
+            rng.shuffle(faces)
+        docs.append(json.dumps({"m": 5 + n % 4, "maximal_faces": faces}))
+    docs += [BOUNDARY_DOC, C4_DOC.replace("m: 4", "m: 5"),
+             '{m: 4, maximal_faces: [[1,2],[2,1],[1],[],[2,3],[1,2],[3,2]]}',
+             json.dumps({"m": 13, "maximal_faces": [list(range(1, 14))]}),
+             json.dumps({"m": 11, "maximal_faces": [list(range(1, 12))]}),
+             "{]", "", "[]", '{"maximal_faces": []}', '{"m": 0}',
+             '{"m": 25}', '{"m": true}', '{m: 3, maximal_faces: [[1, 4]]}',
+             '{m: 3, maximal_faces: [[1, true]]}', '{m: 3, maximal_faces: 7}',
+             '{m: 3, maximal_faces: [2]}', "[" * 3000 + "]" * 3000,
+             '{"m": 4, "maximal_faces": [[1, ' + LONG_LITERAL + ']]}']
+    return docs
+
+
+def test_every_command_output_is_pinned(monkeypatch):
+    # One digest of (document, command, exit code, stdout) for every
+    # command, text and --json, `gens` with and without --words, over the
+    # corpus above: a change that keeps it keeps every byte the commands
+    # print on these inputs.  Nothing may exit 3 (a bug).
+    commands = [["flag"], ["chordal"], ["gens"], ["gens", "--words"],
+                ["free"], ["homology"], ["euler"], ["check-splitting"],
+                ["certify"], ["pi1"]]
+    # the over-cap m = 11 simplex would run the cube commands (m <= 12)
+    # for seconds; they are pinned on the m = 13 one
+    cube = {"homology", "euler", "pi1"}
+    digest = hashlib.sha256()
+    codes = Counter()
+
+    def call(argv, text):
+        out = io.StringIO()
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 1, 2), (argv, text[:80])
+        digest.update(repr((text, argv, code, out.getvalue())).encode())
+        codes[code] += 1
+    for text in _pin_documents():
+        for command in commands:
+            if command[0] in cube and text.startswith('{"m": 11'):
+                continue
+            for json_flag in ([], ["--json"]):
+                call(command + json_flag + ["-"], text)
+    for json_flag in ([], ["--json"]):
+        call(["selftest", "--trials", "20", "--seed", "31"] + json_flag, "")
+    assert codes == {0: 2_742, 1: 156, 2: 398}
+    assert digest.hexdigest() == ("9d22a2b48c80adcd011273144b678f95"
+                                  "9bed265a7b470831477f55aea43fc040")
