@@ -258,14 +258,14 @@ def cmd_certify(K, args):
 
 
 def cmd_pi1(K, args):
-    pres = cubical.fundamental_group_presentation(cubical.build(K))
-    payload = {"generators": pres.generator_count,
-               "relators": pres.relator_count,
-               "abelianized_rank": pres.abelianized_rank}
-    return True, payload, [
-        f"generators: {pres.generator_count}",
-        f"relators: {pres.relator_count}",
-        f"abelianized rank: {pres.abelianized_rank}"]
+    # the counts of the presentation, read off the loop system: one
+    # generator per non-tree edge and one relator per square (a column of
+    # d2), so no relator word is built
+    loops = cubical.build(K).loop_system()
+    gens, rels, rank = loops.rank_cycles, loops.relators.cols, loops.betti1
+    payload = {"generators": gens, "relators": rels, "abelianized_rank": rank}
+    return True, payload, [f"generators: {gens}", f"relators: {rels}",
+                           f"abelianized rank: {rank}"]
 
 
 def cmd_selftest(K, args):

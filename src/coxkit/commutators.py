@@ -154,8 +154,9 @@ def generator_words(K, gens):
     In a right-angled Coxeter group g^-1 = g and every normal-form letter
     is (v, 1), so (g, w') normalises the vertices g reversed(w') g w'.
     Each word keeps its 0-based vertices as ``bytes`` beside it, and the
-    next word's are a concatenation.  When :func:`~coxkit.words._is_reduced`
-    and :func:`~coxkit.words._in_least_order` both accept them, the letters
+    next word's are a concatenation.  When :func:`~coxkit.words._is_reduced`,
+    given the tables of the word's support only, and
+    :func:`~coxkit.words._in_least_order` both accept them, the letters
     are read off them.  That is exactly :func:`~coxkit.words.normal_form`'s
     answer: its reduction pass merges only the pairs that the first test
     looks for, so the word leaves it as it stands, and the second test then
@@ -169,18 +170,21 @@ def generator_words(K, gens):
     words = {}
     for g in gens:
         if g.ks:
-            outer, (inner, live) = g.ks[0], words[g.ks[1:], g.j, g.i]
+            outer, (inner, live, held) = g.ks[0], words[g.ks[1:], g.j, g.i]
         else:
             outer, inner, live = g.j, generator(g.i), bytes((g.i - 1,))
+            held = (tables[g.i - 1],)
+        # the tables of the word's support: no other vertex has a letter
+        held += (tables[outer - 1],)
         top = bytes((outer - 1,))
         live = top + live[::-1] + top + live
-        if _is_reduced(live, tables) and _in_least_order(live, spec):
+        if _is_reduced(live, held) and _in_least_order(live, spec):
             word = tuple(map(letters.__getitem__, live))
         else:
             word = commutator(generator(outer), inner, spec)
             live = bytes([v - 1 for v, _ in word])
-        words[g.ks, g.j, g.i] = word, live
-    return [word for word, _ in words.values()]
+        words[g.ks, g.j, g.i] = word, live, held
+    return [word for word, _, _ in words.values()]
 
 
 def commutator_subgroup_is_free(K):

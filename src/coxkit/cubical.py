@@ -20,7 +20,7 @@ homology classes of word loops.
 
 from collections import namedtuple
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 from . import words
 # ``generator_count`` stays a name of this module, though nothing here calls
@@ -241,6 +241,18 @@ def homology_splitting_check(K):
 # Edge loops, fundamental group data and first-homology coordinates
 # ---------------------------------------------------------------------------
 
+@cache
+def _edge_ranks(m):
+    """The edge numbering of :class:`_LoopSystem`, per vertex v (index 0
+    unused) and i = v - 1: the bit of axis i, 2^i - 1 and its complement,
+    the first tree rank 2^(m-1) - 2^i of block i, and the id of the
+    block's rank 0."""
+    half = 1 << (m - 1)
+    return (None,) + tuple((1 << i, (1 << i) - 1, ~((1 << i) - 1),
+                            half - (1 << i), i * half - (1 << i) + 1)
+                           for i in range(m))
+
+
 class _LoopSystem:
     """Spanning-tree and first-homology bookkeeping for the 1-skeleton.
 
@@ -255,41 +267,59 @@ class _LoopSystem:
     coordinates follow by reducing modulo the image of the 2-cell
     boundaries via a Smith left transform.
 
-    Edges are read as the cube model's int keys, ``free << m | signs``.
-    ``nontree`` lists the non-tree edges as (axis, signs) pairs, and
-    ``nontree_index`` maps each one's int key to its position there.  The
-    relator matrix is the model's d_2 (``R._boundary(2)``) on the non-tree
-    rows, re-keyed to their positions.  ``relator_words``, built on first
-    use, holds each square's boundary walk as signed 1-based non-tree edge
-    ids, in the squares' order.  Nothing here holds the model itself: the
-    model caches its loop system, and a reference back would make a cycle
-    that only the garbage collector frees.
+    The rows of the model's d_2 (``R._boundary(2)``) are axis-major: block
+    i holds the 2^(m-1) axis-i edges, the edge at rank t having signs t
+    spread over the coordinates other than i.  Its tree edges are the last
+    2^i ranks, so rank t is a non-tree edge exactly when t < 2^(m-1) - 2^i,
+    and its id, its position among the non-tree edges, is then
+    row - (2^i - 1).  The relator matrix is d_2 on those rows, re-keyed by
+    that rule, and there are m 2^(m-1) - 2^m + 1 non-tree edges.  The
+    rule's constants per axis are :func:`_edge_ranks`, which
+    :func:`_walk` shares to read a word's loop vector off its corners.
+    ``nontree`` lists them as (axis, signs) pairs and ``nontree_index``
+    maps each one's int key ``free << m | signs`` to its id; both are
+    built on first read, for the presentation and the tests.
+    ``relator_words``, also built on first use, holds each square's
+    boundary walk as signed 1-based non-tree ids, in the squares' order.
+    Nothing here holds the model itself: the model caches its loop system,
+    and a reference back would make a cycle that only the garbage
+    collector frees.
     """
 
     def __init__(self, R):
         self._m = m = R.m
-        full = (1 << m) - 1
         self._edges = R._faces(2)       # the faces of K that span squares
-        self.nontree = []
-        self.nontree_index = {}
-        ids = {}                        # row of d2 -> non-tree id
-        for r, key in enumerate(R._keys(1)):
-            axis = (key >> m).bit_length() - 1
-            signs = key & full
-            if signs >> (axis + 1) != full >> (axis + 1):
-                ids[r] = self.nontree_index[key] = len(self.nontree)
-                self.nontree.append((axis, signs))
-        self.rank_cycles = len(self.nontree)    # = E - V + 1
-        # d2's rows on the non-tree edges, re-keyed to their ids
+        half = 1 << (m - 1)
+        self.rank_cycles = m * half - (1 << m) + 1     # = E - V + 1
         d2 = R._boundary(2)
-        self.relators = IntMatrix._from_rows(
-            self.rank_cycles, d2.cols,
-            {ids[r]: e for r, e in d2._row.items() if r in ids})
+        ranks = _edge_ranks(m)
+        rows = {}
+        for r, e in d2._row.items():
+            _, _, _, tree, base = ranks[(r >> (m - 1)) + 1]    # block i
+            t = r & (half - 1)
+            if t < tree:
+                rows[base + t] = e
+        self.relators = IntMatrix._from_rows(self.rank_cycles, d2.cols, rows)
         self.reduction = LeftReduction(self.relators)
         if any(d > 1 for d in self.reduction.factors):
             raise AssertionError(
                 "unexpected torsion in degree-1 homology of a cubical model")
         self.betti1 = self.rank_cycles - self.reduction.rank
+
+    @cached_property
+    def nontree(self):
+        """The non-tree edges as (axis, signs) pairs, in id order."""
+        m = self._m
+        half = 1 << (m - 1)
+        return [(i, t & (1 << i) - 1 | t >> i << (i + 1))
+                for i in range(m) for t in range(half - (1 << i))]
+
+    @cached_property
+    def nontree_index(self):
+        """Each non-tree edge's int key ``free << m | signs`` -> its id."""
+        m = self._m
+        return {1 << axis << m | signs: idx
+                for idx, (axis, signs) in enumerate(self.nontree)}
 
     @cached_property
     def relator_words(self):
@@ -316,16 +346,6 @@ class _LoopSystem:
                     break
                 signs = (signs - rest) & rest
         return out
-
-    def vector(self, steps):
-        """A closed edge path's signed traversal counts {non-tree edge: n},
-        from the (edge key, direction) steps of :func:`word_to_loop`."""
-        vec = {}
-        for edge, direction in steps:
-            idx = self.nontree_index.get(edge)
-            if idx is not None:
-                vec[idx] = vec.get(idx, 0) + direction
-        return vec
 
 
 @dataclass
@@ -354,6 +374,39 @@ def fundamental_group_presentation(R):
                            loops.betti1)
 
 
+def _walk(m, w, spec, steps=None):
+    """The closed edge path of ``w`` from the all-plus corner of the model
+    with rank ``m``, as its signed traversal counts {non-tree id: n}; with a
+    list ``steps``, each (edge key, direction) step is appended to it.
+
+    An odd letter g_v walks the axis-i edge (i = v - 1) at the current
+    corner, whose rank in block i is the corner with bit i squeezed out;
+    every letter is checked, and a walk that does not close raises."""
+    if spec.m != m:
+        raise ValueError("word group and cubical model have different ranks")
+    if not spec.is_coxeter():
+        raise ValueError("edge paths need every generator of order 2")
+    check = spec.check_letter
+    ranks = _edge_ranks(m)
+    start = pos = (1 << m) - 1
+    vec = {}
+    for v, e in w:
+        check(v, e)
+        if e & 1:
+            bit, low, high, tree, base = ranks[v]
+            t = pos & low | pos >> 1 & high
+            d = -1 if pos & bit else 1
+            if t < tree:
+                k = base + t
+                vec[k] = vec.get(k, 0) + d
+            if steps is not None:
+                steps.append((bit << m | pos & ~bit, d))
+            pos ^= bit
+    if pos != start:
+        raise ValueError("word does not close up: nonzero exponent sum")
+    return vec
+
+
 def word_to_loop(R, w, spec):
     """The closed edge path traced by ``w`` from the all-plus corner.
 
@@ -365,23 +418,8 @@ def word_to_loop(R, w, spec):
     :class:`CubeComplex` with ``free`` the axis bit, and direction +1 when
     walking from the -1 endpoint to the +1 endpoint.
     """
-    if spec.m != R.m:
-        raise ValueError("word group and cubical model have different ranks")
-    if not spec.is_coxeter():
-        raise ValueError("edge paths need every generator of order 2")
-    m = R.m
-    start = pos = (1 << m) - 1
     steps = []
-    for v, e in w:
-        spec.check_letter(v, e)
-        if e % 2 == 0:
-            continue
-        bit = 1 << (v - 1)
-        direction = -1 if pos & bit else 1
-        steps.append((bit << m | pos & ~bit, direction))
-        pos ^= bit
-    if pos != start:
-        raise ValueError("word does not close up: nonzero exponent sum")
+    _walk(R.m, w, spec, steps)
     return steps
 
 
@@ -390,8 +428,7 @@ def word_class(R, w, spec):
     loops = R.loop_system()
     # every factor is 1 (checked by the loop system), so no torsion part
     # is left
-    return loops.reduction.cokernel_class(
-        loops.vector(word_to_loop(R, w, spec)))[1]
+    return loops.reduction.cokernel_class(_walk(R.m, w, spec))[1]
 
 
 def _is_homology_basis(K, spec, gen_words):
@@ -404,7 +441,7 @@ def _is_homology_basis(K, spec, gen_words):
     rank = loops.reduction.rank
     rows = {}
     for r, w in enumerate(gen_words):
-        y = loops.reduction.apply(loops.vector(word_to_loop(R, w, spec)))
+        y = loops.reduction.apply(_walk(K.m, w, spec))
         row = {k - rank: v for k, v in y.items() if k >= rank}
         if row:
             rows[r] = row

@@ -75,7 +75,8 @@ class GroupSpec:
     ``orders[i]`` is the order of g_{i+1}: an int >= 2 or None for infinite.
     """
 
-    __slots__ = ("m", "graph", "orders", "noncommuting", "order_tables")
+    __slots__ = ("m", "graph", "orders", "noncommuting", "order_tables",
+                 "_chamber_table")
 
     def __init__(self, graph, orders):
         orders = tuple(orders)
@@ -99,6 +100,8 @@ class GroupSpec:
         # the tables of _in_least_order, built by the first normal form
         # that needs them
         self.order_tables = None
+        # the table of is_identity_chamber, built by its first call
+        self._chamber_table = None
 
     @classmethod
     def coxeter(cls, graph):
@@ -295,7 +298,9 @@ def _is_reduced(live, tables):
     pass of :func:`normal_form` merges, so a word of letters (v, 1) in a
     right-angled Coxeter group that passes leaves that pass unchanged.
 
-    ``tables`` is ``_reduced_tables(spec.graph.adj)``.  For each j they
+    ``tables`` holds entries of ``_reduced_tables(spec.graph.adj)``, at
+    least those of the vertices with a letter in ``live``: a vertex with
+    none holds no pair, so its table cannot reject.  For each j they
     translate ``live`` into two little-endian ints: F with 0xff at the
     letters of j and of the vertices commuting with j, J with 0x01 at the
     letters of j.  In F + J the carry of each letter of j runs through the
@@ -586,14 +591,19 @@ def is_identity_chamber(w, spec):
     0} into the chamber, so w = 1 exactly when it fixes c = (1, ..., 1).
     The letters act first to last, which applies w^-1; w^-1 = 1 exactly
     when w = 1.  Like :func:`geometric_representation` it reads the graph,
-    not ``spec.noncommuting``.
+    not ``spec.noncommuting``; its lists of the vertices not commuting
+    with each vertex are built on the first call for a spec and kept on
+    it.
     """
     if not spec.is_coxeter():
         raise ValueError("the chamber test needs every generator to have "
                          "order 2")
     m = spec.m
-    noncomm = [[k for k in range(m) if k != i and not a >> k & 1]
-               for i, a in enumerate(spec.graph.adj)]
+    noncomm = spec._chamber_table
+    if noncomm is None:
+        noncomm = spec._chamber_table = tuple(
+            tuple(k for k in range(m) if k != i and not a >> k & 1)
+            for i, a in enumerate(spec.graph.adj))
     c = [1] * m
     for v, e in w:
         spec.check_letter(v, e)

@@ -180,6 +180,32 @@ def test_pi1_command(tmp_path, capsys):
         (17, 16, 2)
 
 
+def test_pi1_builds_no_relator_word(tmp_path, capsys, monkeypatch):
+    # pi1 prints counts only, read off the loop system; the relator words
+    # are for library callers of fundamental_group_presentation
+    cases = []
+    for K in (SimplicialComplex.simplex(4), SimplicialComplex.cycle(6)):
+        pres = cubical.fundamental_group_presentation(cubical.build(K))
+        counts = (pres.generator_count, pres.relator_count,
+                  pres.abelianized_rank)
+        doc = json.dumps({"m": K.m, "maximal_faces": K.maximal_faces()})
+        cases.append((write(tmp_path, doc, f"{K.m}.json"), counts))
+    assert [c for _, c in cases] == [(17, 24, 0), (129, 96, 34)]
+
+    def no_words(loops):
+        raise AssertionError("relator words built")
+    monkeypatch.setattr(cubical._LoopSystem, "relator_words",
+                        property(no_words))
+    for path, counts in cases:
+        code, out, _ = run(capsys, "pi1", "--json", path)
+        doc = json.loads(out)
+        assert code == 0 and (doc["generators"], doc["relators"],
+                              doc["abelianized_rank"]) == counts
+        code, out, _ = run(capsys, "pi1", path)
+        assert code == 0 and out == "generators: {}\nrelators: {}\n" \
+            "abelianized rank: {}\n".format(*counts)
+
+
 def test_euler_command(tmp_path, capsys):
     code, out, _ = run(capsys, "euler", "--json", write(tmp_path, C4_DOC))
     assert json.loads(out)["euler"] == 0

@@ -380,6 +380,17 @@ def test_word_loops_on_torus():
     assert word_class(R, w + w_inv, spec) == (0, 0)
 
 
+def _vector(loops, steps):
+    """The signed traversal counts {non-tree id: n} of ``word_to_loop``'s
+    steps, read through ``nontree_index``."""
+    vec = {}
+    for edge, direction in steps:
+        idx = loops.nontree_index.get(edge)
+        if idx is not None:
+            vec[idx] = vec.get(idx, 0) + direction
+    return vec
+
+
 def test_word_to_loop_requirements():
     R = build(C4)
     spec = coxeter_spec(C4)
@@ -396,19 +407,80 @@ def test_word_to_loop_requirements():
     loop = word_to_loop(R, ((1, 1), (2, 1), (1, 1), (2, 1)), spec)
     assert len(loop) == 4
     loops = R.loop_system()
-    assert loops.reduction.cokernel_class(loops.vector(loop))[1] == \
+    assert loops.reduction.cokernel_class(_vector(loops, loop))[1] == \
         word_class(R, ((1, 1), (2, 1), (1, 1), (2, 1)), spec)
+
+
+BAD_WORDS = [(((1, True), (1, True)), "exponent True"),
+             (((5, 1), (5, 1)), "vertex 5 out of range"),
+             (((0, 1), (0, 1)), "vertex 0 out of range"),
+             (((True, 1), (True, 1)), "vertex True out of range"),
+             (((1, 1), (2, 1), (1, 1)), "does not close up")]
 
 
 def test_word_to_loop_checks_every_letter():
     R = build(C4)
     spec = coxeter_spec(C4)
-    with pytest.raises(ValueError):
-        word_to_loop(R, ((1, True), (1, True)), spec)   # boolean exponent
-    with pytest.raises(ValueError):
-        word_to_loop(R, ((5, 1), (5, 1)), spec)         # vertex out of range
-    with pytest.raises(ValueError):
-        word_to_loop(R, ((1, 1), (2, 1), (1, 1)), spec)  # does not close up
+    for w, message in BAD_WORDS:
+        with pytest.raises(ValueError, match=message):
+            word_to_loop(R, w, spec)
+        with pytest.raises(ValueError, match=message):
+            word_class(R, w, spec)
+
+
+def test_certificate_path_checks_every_letter():
+    # the basis check walks each word once for its loop vector; a bad
+    # letter or an open walk raises there as in word_to_loop
+    spec = coxeter_spec(C4)
+    gen_words = generator_words(C4, enumerate_generators(C4))
+    assert cubical._is_homology_basis(C4, spec, gen_words)
+    for w, message in BAD_WORDS:
+        for r in (0, len(gen_words) - 1):
+            changed = gen_words[:r] + [w] + gen_words[r + 1:]
+            with pytest.raises(ValueError, match=message):
+                cubical._is_homology_basis(C4, spec, changed)
+
+
+def test_one_walk_ids_match_the_steps():
+    # the ids and counts that the one walk reads off each corner are those
+    # of nontree_index over word_to_loop's steps, summed by direction
+    rng = random.Random(20261023)
+    complexes = [make(m) for m in range(3, 9)
+                 for make in (SimplicialComplex.points,
+                              SimplicialComplex.cycle)]
+    complexes += [random_complex(rng.randint(1, 8), rng) for _ in range(12)]
+    walked = 0
+    for K in complexes:
+        R = build(K)
+        loops = R.loop_system()
+        spec = coxeter_spec(K)
+        for w in generator_words(K, enumerate_generators(K)):
+            steps = []
+            assert cubical._walk(K.m, w, spec, steps) == _vector(loops, steps)
+            assert steps == word_to_loop(R, w, spec)
+            walked += len(steps)
+    assert walked > 60_000
+
+
+def test_relators_are_d2_rekeyed_to_nontree_ids():
+    # the row rule of the loop system against d2 re-keyed through the
+    # int keys of the edges and a breadth-first tree
+    for m in range(1, 11):
+        for K in (SimplicialComplex.points(m), SimplicialComplex.simplex(m)) \
+                if m < 8 else (SimplicialComplex.cycle(m),):
+            R = build(K)
+            loops = R.loop_system()
+            tree = _bfs_tree(m)
+            ids = {}
+            for r, key in enumerate(R._keys(1)):
+                if ((key >> m).bit_length() - 1, key & (1 << m) - 1) \
+                        not in tree:
+                    ids[r] = len(ids)
+            assert loops.rank_cycles == len(ids)
+            d2 = R._boundary(2)
+            assert loops.relators == IntMatrix._from_rows(
+                len(ids), d2.cols,
+                {ids[r]: e for r, e in d2._row.items() if r in ids})
 
 
 def test_basis_certificate_examples():

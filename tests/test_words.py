@@ -274,6 +274,29 @@ def test_chamber_test_agrees_with_reflection_matrix():
     assert seen[True] >= 5000 and seen[False] >= 5000, seen
 
 
+def test_chamber_table_is_built_once_per_group_from_the_graph():
+    # the chamber test keeps its own non-commuting lists on the spec, read
+    # off the graph: with the normal form's lists taken away it still
+    # agrees with the reflection oracle, and its second call builds nothing
+    rng = random.Random(20261024)
+    for m in range(1, 9):
+        spec = GroupSpec.coxeter(random_graph(m, rng, 0.4))
+        adj = spec.graph.adj
+        spec.noncommuting = None
+        assert spec._chamber_table is None
+        for _ in range(30):
+            w = random_word(spec, rng.randint(0, 16), rng)
+            w += tuple((v, -e) for v, e in reversed(w))[:rng.randint(0, 16)]
+            assert is_identity_chamber(w, spec) == is_identity_matrix(
+                geometric_representation(w, spec))
+            assert spec._chamber_table == tuple(
+                tuple(k for k in range(m) if k != i and not adj[i] >> k & 1)
+                for i in range(m))
+        table = spec._chamber_table
+        is_identity_chamber(random_word(spec, 8, rng), spec)
+        assert spec._chamber_table is table
+
+
 def _dense_product(factors, m):
     out = [[int(i == j) for j in range(m)] for i in range(m)]
     for f in factors:
