@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 from .simplicial import _bits, _components_masks, is_chordal, is_flag
 # ``evaluate`` stays a name of this module: the benchmark's spans wrap it here
-from .words import (GroupSpec, _in_least_order, _is_reduced, _reduced_tables,
-                    commutator, evaluate, generator)
+from .words import (GroupSpec, _form_tables, _in_normal_form, commutator,
+                    evaluate, generator)
 
 
 class NotFlagError(ValueError):
@@ -154,18 +154,16 @@ def generator_words(K, gens):
     In a right-angled Coxeter group g^-1 = g and every normal-form letter
     is (v, 1), so (g, w') normalises the vertices g reversed(w') g w'.
     Each word keeps its 0-based vertices as ``bytes`` beside it, and the
-    next word's are a concatenation.  When :func:`~coxkit.words._is_reduced`,
-    given the tables of the word's support only, and
-    :func:`~coxkit.words._in_least_order` both accept them, the letters
-    are read off them.  That is exactly :func:`~coxkit.words.normal_form`'s
-    answer: its reduction pass merges only the pairs that the first test
-    looks for, so the word leaves it as it stands, and the second test then
-    returns it.  It is the canonical word because reduced words for one
-    element differ only by commuting swaps (E. R. Green, *Graph products of
-    groups*, PhD thesis, Leeds 1990), so their least order is unique.  Any
-    other word goes through :func:`commutator`."""
+    next word's are a concatenation.  When
+    :func:`~coxkit.words._in_normal_form`, given the tables of the word's
+    support only, accepts them, the letters are read off them: a word of
+    letters (v, 1) that it accepts is its own normal form (see
+    :mod:`coxkit.words`).  It is the canonical word because reduced words
+    for one element differ only by commuting swaps (E. R. Green, *Graph
+    products of groups*, PhD thesis, Leeds 1990), so their least order is
+    unique.  Any other word goes through :func:`commutator`."""
     spec = coxeter_spec(K)
-    tables = _reduced_tables(spec.graph.adj)
+    tables = _form_tables(spec)[0]
     letters = [(v, 1) for v in range(1, K.m + 1)]
     words = {}
     for g in gens:
@@ -178,7 +176,7 @@ def generator_words(K, gens):
         held += (tables[outer - 1],)
         top = bytes((outer - 1,))
         live = top + live[::-1] + top + live
-        if _is_reduced(live, held) and _in_least_order(live, spec):
+        if _in_normal_form(live, held):
             word = tuple(map(letters.__getitem__, live))
         else:
             word = commutator(generator(outer), inner, spec)

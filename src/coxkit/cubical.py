@@ -10,7 +10,8 @@ coordinate and a bit count.  The 1-skeleton is always the full cube graph
 associated Coxeter group trace edge paths on it: the letter g_i walks
 along the axis-i edge at the current corner.  Its spanning tree is read off
 in closed form: an axis-i edge is a tree edge exactly when every coordinate
-above i is +1.
+above i is +1.  The fundamental-group relators are the columns of d_2
+restricted to the non-tree edges, read as words.
 
 This gives exact, independently computable invariants against which the
 group-theoretic layer is verified: cellular homology, the Euler
@@ -46,8 +47,7 @@ class CubeComplex:
     in increasing order, so the boundaries are built by block arithmetic
     (:meth:`_boundary`): a face's row is its block's offset plus its signs'
     rank, with no per-cell lookup.  The loop system reads d_2 from the same
-    builder, and walks edges and squares as one int key per cell,
-    ``free << m | signs``, in the same order; neither builds the pairs.
+    builder, relator words included, and never builds the pairs.
     """
 
     def __init__(self, K):
@@ -116,7 +116,8 @@ class CubeComplex:
         below = self._faces(k - 1) if k else ()
         width = m - k + 1               # a (k-1)-face owns 2^width rows
         offset = {face: i << width for i, face in enumerate(below)}
-        rows = [{} for _ in range(len(below) << width)]
+        # width < 0 only above the top degree, where there is no face below
+        rows = [{} for _ in below for _ in range(1 << width)]
         faces = self._faces(k)
         n = 1 << (m - k) if faces else 0
         c0 = 0
@@ -247,7 +248,7 @@ def _edge_ranks(m):
     unused) and i = v - 1: the bit of axis i, 2^i - 1 and its complement,
     the first tree rank 2^(m-1) - 2^i of block i, and the id of the
     block's rank 0."""
-    half = 1 << (m - 1)
+    half = 1 << m >> 1
     return (None,) + tuple((1 << i, (1 << i) - 1, ~((1 << i) - 1),
                             half - (1 << i), i * half - (1 << i) + 1)
                            for i in range(m))
@@ -276,11 +277,12 @@ class _LoopSystem:
     that rule, and there are m 2^(m-1) - 2^m + 1 non-tree edges.  The
     rule's constants per axis are :func:`_edge_ranks`, which
     :func:`_walk` shares to read a word's loop vector off its corners.
-    ``nontree`` lists them as (axis, signs) pairs and ``nontree_index``
-    maps each one's int key ``free << m | signs`` to its id; both are
-    built on first read, for the presentation and the tests.
-    ``relator_words``, also built on first use, holds each square's
-    boundary walk as signed 1-based non-tree ids, in the squares' order.
+    ``nontree`` lists the non-tree edges as (axis, signs) pairs, built on
+    first read, for the presentation and the tests.  ``relator_words``,
+    also built on first use, holds each square's boundary walk as signed
+    1-based non-tree ids, in the squares' order, read off the columns of
+    the relator matrix: d_2's signs are the walk's directions.  At m = 0
+    the model is one point, with no edge and no relator.
     Nothing here holds the model itself: the model caches its loop system,
     and a reference back would make a cycle that only the garbage
     collector frees.
@@ -288,8 +290,7 @@ class _LoopSystem:
 
     def __init__(self, R):
         self._m = m = R.m
-        self._edges = R._faces(2)       # the faces of K that span squares
-        half = 1 << (m - 1)
+        half = 1 << m >> 1
         self.rank_cycles = m * half - (1 << m) + 1     # = E - V + 1
         d2 = R._boundary(2)
         ranks = _edge_ranks(m)
@@ -310,42 +311,29 @@ class _LoopSystem:
     def nontree(self):
         """The non-tree edges as (axis, signs) pairs, in id order."""
         m = self._m
-        half = 1 << (m - 1)
+        half = 1 << m >> 1
         return [(i, t & (1 << i) - 1 | t >> i << (i + 1))
                 for i in range(m) for t in range(half - (1 << i))]
 
     @cached_property
-    def nontree_index(self):
-        """Each non-tree edge's int key ``free << m | signs`` -> its id."""
-        m = self._m
-        return {1 << axis << m | signs: idx
-                for idx, (axis, signs) in enumerate(self.nontree)}
-
-    @cached_property
     def relator_words(self):
-        """Each square's boundary walk, as signed 1-based non-tree ids."""
-        m, index = self._m, self.nontree_index
-        full = (1 << m) - 1
-        out = []
-        for free in self._edges:
-            i = free & -free
-            j = free - i
-            rest = full & ~free
-            signs = 0
-            while True:
-                # the walk from the (-,-) corner of the square on axes
-                # i < j: +i at j=-1, +j at i=+1, -i at j=+1, -j at i=-1
-                word = []
-                for key, d in ((i << m | signs, 1), (j << m | signs | i, 1),
-                               (i << m | signs | j, -1), (j << m | signs, -1)):
-                    idx = index.get(key)
-                    if idx is not None:
-                        word.append(d * (idx + 1))
-                out.append(tuple(word))
-                if signs == rest:
-                    break
-                signs = (signs - rest) & rest
-        return out
+        """Each square's boundary walk, as signed 1-based non-tree ids, in
+        the squares' order: its column of ``relators``, the +1 entries and
+        then the -1 entries, each in increasing row order.
+
+        A square on axes i < j, walked from its (-,-) corner, takes +i at
+        j = -1, +j at i = +1, -i at j = +1 and -j at i = -1.  Every id of
+        block i comes before every id of block j, so that walk lists the
+        +1 entries and then the -1 entries of d_2, each in increasing
+        order, less its tree edges."""
+        words = [[] for _ in range(self.relators.cols)]
+        rows = sorted(self.relators._row.items())
+        for sign in (1, -1):
+            for r, entries in rows:
+                for c, v in entries.items():
+                    if v == sign:
+                        words[c].append(sign * (r + 1))
+        return list(map(tuple, words))
 
 
 @dataclass

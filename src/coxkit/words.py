@@ -21,12 +21,17 @@ merges into the top letter of its vertex unless a live letter of a
 non-commuting vertex lies above that one, and a merge to exponent 0 pops
 it.  A popped letter never separated two letters of one vertex, so
 nothing is re-read.  Most reduced words, generator words above all, are
-then in least order already, and one exact test returns them as they
-stand: a word is the least order of its letters exactly when it has no
-factor b u a with a < b, where a commutes with b and with every letter of
-u (Anisimov-Knuth, "Inhomogeneous sorting", 1979; Diekert-Rozenberg, *The
-Book of Traces*, 1995).  The test makes a few whole-word byte operations
-per vertex that commutes with a higher one, none in a free product.
+then in least order already, and one exact byte test,
+:func:`_in_normal_form`, returns them as they stand.  It looks for a
+factor b u a where a commutes with every letter of u, and b is a itself
+or a vertex above a that commutes with a.  With b = a that is a pair the
+reduction merges; with b > a it is what keeps a word out of least order:
+a word is the least order of its letters exactly when it has no such
+factor (Anisimov-Knuth, "Inhomogeneous sorting", 1979; Diekert-Rozenberg,
+*The Book of Traces*, 1995).  The reduced letters of a normal form can
+only fail the second half, so it reads only the tables of the vertices
+that commute with a higher one, none in a free product, a few whole-word
+byte operations each.
 Otherwise the live letters form a heap of pieces: each waits for the last
 earlier live letter of its own vertex and of every vertex it does not
 commute with.  Repeatedly emitting the waiting-free letter of smallest
@@ -40,11 +45,10 @@ an adjacent swappable pair.  The extraction above looks past such pairs
 because a letter is free once everything before it commutes with it, not
 only its neighbour.
 
-Beside the least-order test, a second byte test, :func:`_is_reduced`,
-finds a word of involutions reduced already when no two letters of one
-vertex have only letters commuting with that vertex between them.
+A word of letters (v, 1) in a right-angled Coxeter group passes the whole
+test exactly when it is its own normal form, so
 :func:`coxkit.commutators.generator_words` reads each generator word off
-its vertices when both tests accept them, with no normal form.
+its vertices when the test accepts them, with no normal form.
 
 :func:`evaluate` takes a nested commutator in the nested-array form that
 ``coxkit gens`` prints, e.g. [2, [4, 1]] for (g_2, (g_4, g_1)), and
@@ -75,7 +79,7 @@ class GroupSpec:
     ``orders[i]`` is the order of g_{i+1}: an int >= 2 or None for infinite.
     """
 
-    __slots__ = ("m", "graph", "orders", "noncommuting", "order_tables",
+    __slots__ = ("m", "graph", "orders", "noncommuting", "form_tables",
                  "_chamber_table")
 
     def __init__(self, graph, orders):
@@ -97,9 +101,9 @@ class GroupSpec:
                     noncommuting[i].append(j)
                     noncommuting[j].append(i)
         self.noncommuting = tuple(map(tuple, noncommuting))
-        # the tables of _in_least_order, built by the first normal form
-        # that needs them
-        self.order_tables = None
+        # the tables of _in_normal_form, built by the first normal form
+        # or generator word list that needs them
+        self.form_tables = None
         # the table of is_identity_chamber, built by its first call
         self._chamber_table = None
 
@@ -143,7 +147,7 @@ def normal_form(word, spec):
     """The canonical representative of the group element spelt by ``word``.
 
     One pass reduces; the reduced word is returned at once when
-    :func:`_in_least_order` finds it in least order, and a priority-queue
+    :func:`_in_normal_form` finds it in least order, and a priority-queue
     pass puts it in that order otherwise (see the module docstring).  The
     cost is O(n m) for n letters on m vertices.
 
@@ -189,9 +193,10 @@ def normal_form(word, spec):
         below.append(t)
         verts.append(i)
         exps.append(e)
-    # the live letters' 0-based vertices, one byte each (m <= 24)
+    # the live letters' 0-based vertices, one byte each (m <= 24); they
+    # are reduced, so only the entries with a carry table can reject them
     live = bytes(compress(verts, exps))
-    if _in_least_order(live, spec):
+    if _in_normal_form(live, (spec.form_tables or _form_tables(spec))[1]):
         return tuple(zip(map((1).__add__, live), filter(None, exps)))
     # extraction: each live letter waits for the last earlier live letter
     # of its own vertex and of each vertex not commuting with it (an edge
@@ -230,88 +235,63 @@ def normal_form(word, spec):
     return tuple(out)
 
 
-def _order_tables(adj):
-    """The tables of :func:`_in_least_order`: for each 0-based vertex j
-    that commutes with a higher vertex, three ``bytes.translate`` tables
-    from vertex to byte, 0xff at the vertices commuting with j, 0x01 at
-    those of them above j, and 0x01 at j."""
-    tables = []
+def _form_tables(spec):
+    """The tables of :func:`_in_normal_form` for ``spec``, kept on it as
+    ``spec.form_tables``, which callers read first: one entry per 0-based
+    vertex j, and the entries that have a carry table.
+
+    An entry holds three ``bytes.translate`` tables from vertex to byte:
+    F, 0xff at j and at the vertices commuting with j; J, 0x01 at j; and
+    C, 0x01 at j and at the vertices above j commuting with it, or None
+    when there are none above j, where C would equal J."""
+    adj = spec.graph.adj
+    by_vertex = []
     for j, a in enumerate(adj):
-        if a >> j + 1:
-            fill = bytearray(256)
-            above = bytearray(256)
-            for i in range(len(adj)):
-                if a >> i & 1:
-                    fill[i] = 0xff
-                    above[i] = i > j
-            own = bytearray(256)
-            own[j] = 1
-            tables.append((bytes(fill), bytes(above), bytes(own)))
-    return tuple(tables)
-
-
-def _in_least_order(live, spec):
-    """Whether the word with the 0-based vertices ``live`` is the least
-    order of its letters: it has no factor b u a with a < b, where a
-    commutes with b and with every letter of u (Anisimov-Knuth).
-
-    Each letter is one byte: a Graph has m <= 24 (``MAX_VERTICES``), so
-    every vertex fits.  For each a = j, the tables translate ``live`` into
-    three little-endian ints: F with 0xff at the letters commuting with j,
-    U with 0x01 at those of them above j, J with 0x01 at the letters of j.
-    In F + U the carry of each U letter runs through the commuting letters
-    after it and lands as 0x01 on the first letter that does not commute
-    with j.  F and U are 0 at every letter of j, so F + U and J share a bit
-    exactly when a carry lands on one: a factor b u j.  The tables are
-    built on the first call for a spec and kept on it; a free product has
-    none, and every word passes.
-    """
-    tables = spec.order_tables
-    if tables is None:
-        tables = spec.order_tables = _order_tables(spec.graph.adj)
-    for fill, above, own in tables:
-        if (int.from_bytes(live.translate(fill), "little") +
-                int.from_bytes(live.translate(above), "little")) & \
-                int.from_bytes(live.translate(own), "little"):
-            return False
-    return True
-
-
-def _reduced_tables(adj):
-    """The tables of :func:`_is_reduced`: for each 0-based vertex j, two
-    ``bytes.translate`` tables from vertex to byte, 0xff at j and at the
-    vertices commuting with j, and 0x01 at j."""
-    tables = []
-    for j, a in enumerate(adj):
-        a |= 1 << j
-        fill = bytes(0xff if a >> i & 1 else 0 for i in range(256))
+        fill = bytes(0xff if (a | 1 << j) >> i & 1 else 0 for i in range(256))
         own = bytearray(256)
         own[j] = 1
-        tables.append((fill, bytes(own)))
-    return tuple(tables)
+        carry = None
+        if a >> j + 1:
+            carry = bytearray(own)
+            for i in range(j + 1, len(adj)):
+                carry[i] = a >> i & 1
+            carry = bytes(carry)
+        by_vertex.append((fill, bytes(own), carry))
+    by_vertex = tuple(by_vertex)
+    spec.form_tables = tables = \
+        by_vertex, tuple(t for t in by_vertex if t[2] is not None)
+    return tables
 
 
-def _is_reduced(live, tables):
-    """Whether the word of involutions with the 0-based vertices ``live``
-    is reduced: no two letters of one vertex j are separated only by
-    letters commuting with j.  Such a pair is exactly what the reduction
-    pass of :func:`normal_form` merges, so a word of letters (v, 1) in a
-    right-angled Coxeter group that passes leaves that pass unchanged.
+def _in_normal_form(live, tables):
+    """Whether the word with the 0-based vertices ``live`` has no factor
+    b u a where a commutes with every letter of u, and b is a itself or a
+    vertex above a that commutes with a.
 
-    ``tables`` holds entries of ``_reduced_tables(spec.graph.adj)``, at
-    least those of the vertices with a letter in ``live``: a vertex with
-    none holds no pair, so its table cannot reject.  For each j they
-    translate ``live`` into two little-endian ints: F with 0xff at the
-    letters of j and of the vertices commuting with j, J with 0x01 at the
-    letters of j.  In F + J the carry of each letter of j runs through the
-    0xff letters after it, and a letter of j that it reaches turns its own
-    carry into bit 0.  A letter that does not commute with j absorbs the
-    carry, so F + J and J share a bit exactly when two letters of j have
-    only commuting letters between them.
+    With b = a that is a pair that the reduction pass of
+    :func:`normal_form` merges; with b > a, a pair out of least order
+    (Anisimov-Knuth).  So a word of letters (v, 1) in a right-angled
+    Coxeter group passes exactly when it is its own normal form, and a
+    reduced word exactly when it is in least order.
+
+    ``tables`` holds entries of :func:`_form_tables`, at least those of
+    the vertices with a letter in ``live``: a vertex with none heads no
+    factor, so its entry cannot reject.  Each letter is one byte: a Graph
+    has m <= 24 (``MAX_VERTICES``), so every vertex fits.  For each a = j
+    the entry translates ``live`` into little-endian ints F, J and C (C =
+    J when it has no carry table).  In F + C the carry of each letter of j
+    and of each commuting letter above j runs through the 0xff letters
+    after it, and a letter of j that it reaches keeps 0x01.  A letter that
+    does not commute with j absorbs the carry, so F + C and J share a bit
+    exactly when such a factor ends at a letter of j.  (F + C is F + J + U
+    for U = C - J.  With F' = F - 0xff J, the fill of the b > a half alone,
+    F + J = F' + (J << 8): the letters of j carry too, the b = a half.)
     """
-    for fill, own in tables:
+    for fill, own, carry in tables:
         j = int.from_bytes(live.translate(own), "little")
-        if (int.from_bytes(live.translate(fill), "little") + j) & j:
+        if (int.from_bytes(live.translate(fill), "little") +
+                (j if carry is None else
+                 int.from_bytes(live.translate(carry), "little"))) & j:
             return False
     return True
 

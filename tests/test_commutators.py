@@ -142,33 +142,31 @@ def test_generator_words_match_each_generators_own_word():
 
 
 def test_reduced_shortcut_keeps_every_generator_word(monkeypatch):
-    # a generator word that passes the reducedness and least-order tests is
-    # read off its vertices; with the reducedness test forced to False
-    # every word goes through commutator, and the words must be the same
+    # a generator word that passes the byte test is read off its vertices;
+    # with the test forced to False every word goes through commutator,
+    # and the words must be the same.  A rejected word is "not reduced"
+    # when the entries without their carry tables (b = a only) reject it
     rng = random.Random(20261020)
     complexes = [f(m) for m in range(4, 10) for f in (
         SimplicialComplex.points, SimplicialComplex.cycle)]
     complexes += [random_complex(rng.randint(4, 9), rng) for _ in range(12)]
     routes = {"shortcut": 0, "not reduced": 0, "not least": 0}
-    reduced, least = commutators._is_reduced, commutators._in_least_order
+    test = commutators._in_normal_form
 
-    def recorded_reduced(live, tables):
-        if not reduced(live, tables):
-            routes["not reduced"] += 1
-            return False
-        return True
-
-    def recorded_least(live, spec):
-        answer = least(live, spec)
-        routes["shortcut" if answer else "not least"] += 1
-        return answer
-    monkeypatch.setattr(commutators, "_is_reduced", recorded_reduced)
-    monkeypatch.setattr(commutators, "_in_least_order", recorded_least)
+    def recorded(live, tables):
+        if test(live, tables):
+            routes["shortcut"] += 1
+            return True
+        reduced = test(live, [(fill, own, None) for fill, own, _ in tables])
+        routes["not least" if reduced else "not reduced"] += 1
+        return False
+    monkeypatch.setattr(commutators, "_in_normal_form", recorded)
     expected = [generator_words(K, enumerate_generators(K))
                 for K in complexes]
     assert sum(map(len, expected)) == sum(routes.values())
     assert min(routes.values()) >= 200, routes
-    monkeypatch.setattr(commutators, "_is_reduced", lambda live, tables: False)
+    monkeypatch.setattr(commutators, "_in_normal_form",
+                        lambda live, tables: False)
     for K, got in zip(complexes, expected):
         assert generator_words(K, enumerate_generators(K)) == got
 

@@ -250,6 +250,13 @@ def test_pi1_relators_match_two_cell_boundaries():
                 assert counts.get(row, 0) == entry(loops.relators, row, col)
 
 
+def _nontree_index(loops, m):
+    """Each non-tree edge's int key ``free << m | signs`` -> its id, read
+    off ``nontree``."""
+    return {1 << axis << m | signs: idx
+            for idx, (axis, signs) in enumerate(loops.nontree)}
+
+
 def test_pi1_relators_are_corner_walks():
     # each relator walks its square from the (-,-) corner, +i at j=-1, +j
     # at i=+1, -i at j=+1, -j at i=-1 (axes i < j), keeping non-tree edges
@@ -258,7 +265,7 @@ def test_pi1_relators_are_corner_walks():
         [random_complex(rng.randint(2, 5), rng) for _ in range(10)]
     for K in complexes:
         R = build(K)
-        index = R.loop_system().nontree_index
+        index = _nontree_index(R.loop_system(), K.m)
         want = []
         for free, signs in (R.cells[2] if len(R.cells) > 2 else ()):
             i, j = [a for a in range(K.m) if free >> a & 1]
@@ -309,14 +316,32 @@ def test_loop_system_builds_relators_without_boundaries():
         edges = R._keys(1)
         d2 = (R.boundaries[2] if len(R.boundaries) > 2
               else IntMatrix(len(edges), 0))
+        index = _nontree_index(loops, K.m)
         want = {}
         for (r, c), v in d2.items():
-            idx = loops.nontree_index.get(edges[r])
+            idx = index.get(edges[r])
             if idx is not None:
                 want[idx, c] = v
         assert loops.relators == IntMatrix(loops.rank_cycles, d2.cols, want)
         relator_nnz.append(loops.relators.nnz())
     assert relator_nnz[0] > 0 and relator_nnz[1] == 0 and relator_nnz[2] > 0
+
+
+def test_loop_system_of_the_rank_0_model():
+    # the complex on no vertex has a one-point model: no edge, no square,
+    # a rank-0 loop system, and the empty word's class is empty
+    K = SimplicialComplex(0, [0])
+    R = build(K)
+    assert cubical._edge_ranks(0) == (None,)
+    assert R._boundary(2) == IntMatrix(0, 0)
+    loops = R.loop_system()
+    assert (loops.rank_cycles, loops.betti1, loops.nontree,
+            loops.relator_words) == (0, 0, [], [])
+    assert loops.relators == IntMatrix(0, 0)
+    assert word_class(R, (), coxeter_spec(K)) == ()
+    pres = fundamental_group_presentation(R)
+    assert (pres.generators, pres.relators, pres.abelianized_rank) == \
+        ([], [], 0)
 
 
 def test_loop_system_reads_int_keys(monkeypatch):
@@ -341,7 +366,6 @@ def test_loop_system_reads_int_keys(monkeypatch):
         want = [key for key in edges
                 if ((key >> m).bit_length() - 1, key & (1 << m) - 1)
                 not in tree]
-        assert loops.nontree_index == {key: i for i, key in enumerate(want)}
         assert [1 << a << m | s for a, s in loops.nontree] == want
         spec = coxeter_spec(K)
         edge_set = set(edges)
@@ -380,12 +404,12 @@ def test_word_loops_on_torus():
     assert word_class(R, w + w_inv, spec) == (0, 0)
 
 
-def _vector(loops, steps):
+def _vector(index, steps):
     """The signed traversal counts {non-tree id: n} of ``word_to_loop``'s
-    steps, read through ``nontree_index``."""
+    steps, read through ``index``, a :func:`_nontree_index`."""
     vec = {}
     for edge, direction in steps:
-        idx = loops.nontree_index.get(edge)
+        idx = index.get(edge)
         if idx is not None:
             vec[idx] = vec.get(idx, 0) + direction
     return vec
@@ -407,7 +431,8 @@ def test_word_to_loop_requirements():
     loop = word_to_loop(R, ((1, 1), (2, 1), (1, 1), (2, 1)), spec)
     assert len(loop) == 4
     loops = R.loop_system()
-    assert loops.reduction.cokernel_class(_vector(loops, loop))[1] == \
+    vec = _vector(_nontree_index(loops, R.m), loop)
+    assert loops.reduction.cokernel_class(vec)[1] == \
         word_class(R, ((1, 1), (2, 1), (1, 1), (2, 1)), spec)
 
 
@@ -443,7 +468,7 @@ def test_certificate_path_checks_every_letter():
 
 def test_one_walk_ids_match_the_steps():
     # the ids and counts that the one walk reads off each corner are those
-    # of nontree_index over word_to_loop's steps, summed by direction
+    # of _nontree_index over word_to_loop's steps, summed by direction
     rng = random.Random(20261023)
     complexes = [make(m) for m in range(3, 9)
                  for make in (SimplicialComplex.points,
@@ -452,11 +477,12 @@ def test_one_walk_ids_match_the_steps():
     walked = 0
     for K in complexes:
         R = build(K)
-        loops = R.loop_system()
+        index = _nontree_index(R.loop_system(), K.m)
         spec = coxeter_spec(K)
         for w in generator_words(K, enumerate_generators(K)):
             steps = []
-            assert cubical._walk(K.m, w, spec, steps) == _vector(loops, steps)
+            assert cubical._walk(K.m, w, spec, steps) == \
+                _vector(index, steps)
             assert steps == word_to_loop(R, w, spec)
             walked += len(steps)
     assert walked > 60_000

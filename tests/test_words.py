@@ -55,9 +55,10 @@ def test_normal_form_least_shuffle_needs_lookahead():
     spec = GroupSpec.artin(Graph(3, [(1, 2), (2, 3)]))
     assert normal_form(((3, 1), (1, 1), (2, 1)), spec) == \
         ((2, 1), (3, 1), (1, 1))
-    # the least-order test looks past them too
-    assert not words_module._in_least_order(bytes([2, 0, 1]), spec)
-    assert words_module._in_least_order(bytes([1, 2, 0]), spec)
+    # the byte test looks past them too
+    tables = words_module._form_tables(spec)[0]
+    assert not words_module._in_normal_form(bytes([2, 0, 1]), tables)
+    assert words_module._in_normal_form(bytes([1, 2, 0]), tables)
 
 
 def test_normal_form_merges_across_commuting_blocks():
@@ -762,20 +763,21 @@ def test_normal_form_output_is_pinned():
 
 
 def _record_least_order_answers(monkeypatch):
-    """Patch the least-order test to record its answers, in this list."""
-    test = words_module._in_least_order
+    """Patch the byte test that normal_form calls to record its answers,
+    in this list."""
+    test = words_module._in_normal_form
     answers = []
 
-    def recorded(live, spec):
-        answers.append(test(live, spec))
+    def recorded(live, tables):
+        answers.append(test(live, tables))
         return answers[-1]
-    monkeypatch.setattr(words_module, "_in_least_order", recorded)
+    monkeypatch.setattr(words_module, "_in_normal_form", recorded)
     return answers
 
 
 def test_least_order_shortcut_keeps_every_normal_form(monkeypatch):
     # random words, their normal forms and commuting shuffles of those, so
-    # that the least-order test answers both ways; with the test forced to
+    # that normal_form's byte test answers both ways; with it forced to
     # False, the heap pass must give the same normal forms
     rng = random.Random(2718)
     answers = _record_least_order_answers(monkeypatch)
@@ -792,15 +794,25 @@ def test_least_order_shortcut_keeps_every_normal_form(monkeypatch):
                 w = _commuting_shuffle(w, spec, rng)
         cases.append((w, spec, normal_form(w, spec)))
     assert answers.count(True) >= 2000 and answers.count(False) >= 2000
-    monkeypatch.setattr(words_module, "_in_least_order",
-                        lambda live, spec: False)
+    monkeypatch.setattr(words_module, "_in_normal_form",
+                        lambda live, tables: False)
     for w, spec, nf in cases:
         assert normal_form(w, spec) == nf, (w, spec.graph.adj)
 
 
-def test_least_order_test_matches_brute_force():
-    # the test against the least member of the swap closure, on reduced
-    # words, on a random member of their closure and on its greatest
+def _heads_a_factor(w, adj):
+    """Whether the 0-based vertices ``w`` hold a factor b u a where a
+    commutes with every letter of u, and b is a itself or a vertex above a
+    that commutes with a: the definition of the byte test."""
+    return any(all(adj[w[q]] >> w[r] & 1 for r in range(p + 1, q)) and
+               (w[p] == w[q] or w[p] > w[q] and adj[w[q]] >> w[p] & 1)
+               for p in range(len(w)) for q in range(p + 1, len(w)))
+
+
+def test_normal_form_test_matches_brute_force():
+    # first: on reduced words, on a random member of their swap closure
+    # and on its greatest, the test accepts exactly the least member, with
+    # every vertex's tables and with the carry tables alone (normal_form's)
     rng = random.Random(3141)
     seen = {True: 0, False: 0}
     for t in range(2400):
@@ -814,18 +826,17 @@ def test_least_order_test_matches_brute_force():
             w = rng.choice(closure) if t % 3 == 1 else closure[-1]
         least = w == closure[0]
         live = bytes(v - 1 for v, _ in w)
-        assert words_module._in_least_order(live, spec) == least, \
-            (w, spec.graph.adj)
+        for tables in words_module._form_tables(spec):
+            assert words_module._in_normal_form(live, tables) == least, \
+                (w, spec.graph.adj)
         seen[least] += 1
     assert seen[True] >= 500 and seen[False] >= 500, seen
-
-
-def test_reducedness_test_matches_brute_force():
-    # against its definition: some two letters of one vertex with only
-    # letters commuting with that vertex between them; random words, and
-    # words with an adjacent same-vertex pair, with a pair whose commuting
-    # run ends at the last letter, and with a letter followed by a
-    # commuting run to the end of the word (its carry leaves the word)
+    # second: against the definition on words of vertices; random words,
+    # and words with an adjacent same-vertex pair, with a pair whose
+    # commuting run ends at the last letter, and with a letter followed by
+    # a commuting run to the end of the word (its carry leaves the word).
+    # As involutions of the Coxeter group, a word passes exactly when it
+    # is its own normal form
     rng = random.Random(1618)
     seen = {True: 0, False: 0}
     shapes = {"adjacent": 0, "closing run": 0, "open run": 0}
@@ -849,13 +860,12 @@ def test_reducedness_test_matches_brute_force():
         shapes["adjacent"] += any(a == b for a, b in zip(w, w[1:]))
         shapes["closing run"] += shape == 2 and bool(run)
         shapes["open run"] += shape == 3 and bool(run)
-        reducible = any(
-            w[p] == w[q] and all(adj[w[p]] >> w[r] & 1
-                                 for r in range(p + 1, q))
-            for p in range(len(w)) for q in range(p + 1, len(w)))
-        got = words_module._is_reduced(bytes(w),
-                                       words_module._reduced_tables(adj))
-        assert got == (not reducible), (w, adj)
+        spec = GroupSpec.coxeter(graph)
+        got = words_module._in_normal_form(
+            bytes(w), words_module._form_tables(spec)[0])
+        assert got == (not _heads_a_factor(w, adj)), (w, adj)
+        word = tuple((v + 1, 1) for v in w)
+        assert got == (normal_form(word, spec) == word), (w, adj)
         seen[got] += 1
     assert seen[True] >= 500 and seen[False] >= 500, seen
     assert min(shapes.values()) >= 500, shapes
@@ -875,26 +885,28 @@ def test_heap_pass_is_rare_on_generator_words(monkeypatch):
 
 
 def test_order_tables_are_built_once_and_not_with_the_spec(monkeypatch):
-    build = words_module._order_tables
+    build = words_module._form_tables
     calls = []
-    monkeypatch.setattr(words_module, "_order_tables",
-                        lambda adj: calls.append(adj) or build(adj))
+    monkeypatch.setattr(words_module, "_form_tables",
+                        lambda spec: calls.append(spec) or build(spec))
     graph = Graph(3, [(1, 2), (2, 3)])
     for spec in _specs() + [GroupSpec.coxeter(graph),
                             GroupSpec(graph, (2, 3, None))]:
-        assert spec.order_tables is None
+        assert spec.form_tables is None
     spec = GroupSpec.artin(graph)
-    assert calls == [] and spec.order_tables is None
+    assert calls == [] and spec.form_tables is None
     assert normal_form(((3, 1), (1, 1), (2, 1)), spec) == \
         ((2, 1), (3, 1), (1, 1))
-    tables = spec.order_tables
-    assert len(tables) == 2             # vertices 1 and 2 have one above
+    tables = spec.form_tables
+    by_vertex, carrying = tables
+    assert len(by_vertex) == 3          # one entry per vertex
+    assert carrying == by_vertex[:2]    # vertices 1 and 2 have one above
     for w in (((2, 1), (3, 1), (1, 1)), ((1, 1),), ()):
         normal_form(w, spec)
-    assert calls == [spec.graph.adj] and spec.order_tables is tables
+    assert calls == [spec] and spec.form_tables is tables
     free = GroupSpec.coxeter(Graph(3, []))
     normal_form(((1, 1), (2, 1)), free)
-    assert free.order_tables == ()
+    assert len(free.form_tables[0]) == 3 and free.form_tables[1] == ()
 
 
 def test_dropped_specs_never_answer_for_new_ones():
