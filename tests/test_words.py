@@ -809,10 +809,10 @@ def _heads_a_factor(w, adj):
                for p in range(len(w)) for q in range(p + 1, len(w)))
 
 
-def test_normal_form_test_matches_brute_force():
-    # first: on reduced words, on a random member of their swap closure
-    # and on its greatest, the test accepts exactly the least member, with
-    # every vertex's tables and with the carry tables alone (normal_form's)
+def test_least_order_test_matches_brute_force():
+    # on reduced words, on a random member of their swap closure and on its
+    # greatest, the test accepts exactly the least member, with every
+    # vertex's tables and with the carry tables alone (normal_form's)
     rng = random.Random(3141)
     seen = {True: 0, False: 0}
     for t in range(2400):
@@ -831,12 +831,15 @@ def test_normal_form_test_matches_brute_force():
                 (w, spec.graph.adj)
         seen[least] += 1
     assert seen[True] >= 500 and seen[False] >= 500, seen
-    # second: against the definition on words of vertices; random words,
-    # and words with an adjacent same-vertex pair, with a pair whose
-    # commuting run ends at the last letter, and with a letter followed by
-    # a commuting run to the end of the word (its carry leaves the word).
-    # As involutions of the Coxeter group, a word passes exactly when it
-    # is its own normal form
+
+
+def test_reducedness_test_matches_brute_force():
+    # against the definition on words of vertices; random words, and words
+    # with an adjacent same-vertex pair, with a pair whose commuting run
+    # ends at the last letter, and with a letter followed by a commuting
+    # run to the end of the word (its carry leaves the word). As
+    # involutions of the Coxeter group, a word passes exactly when it is
+    # its own normal form
     rng = random.Random(1618)
     seen = {True: 0, False: 0}
     shapes = {"adjacent": 0, "closing run": 0, "open run": 0}
