@@ -276,6 +276,50 @@ def test_is_chordal_against_brute_force():
             _check_chordless(g, res.cycle)
 
 
+def _random_chordal_graph(m, rng):
+    # each new vertex joins a random subset of the clique that an earlier
+    # vertex was added with, so it is simplicial among the vertices so far
+    # and the reverse of the build order is a perfect elimination ordering
+    cliques, edges = [(0,)], []
+    for v in range(1, m):
+        base = rng.choice(cliques)
+        joined = tuple(u for u in base if rng.random() < 0.5)
+        edges += [(u, v) for u in joined]
+        cliques.append(joined + (v,))
+    label = list(range(1, m + 1))
+    rng.shuffle(label)
+    return Graph(m, [(label[u], label[v]) for u, v in edges])
+
+
+def _chordality_corpus():
+    rng = random.Random(33)
+    corpus = [g for m in range(6) for g in all_graphs(m)]
+    for i in range(600):
+        corpus.append(random_graph(rng.randint(6, 24), rng,
+                                   p=(0.1, 0.3, 0.6, 0.9)[i % 4]))
+    for _ in range(300):
+        corpus.append(_random_chordal_graph(rng.randint(6, 24), rng))
+    return corpus
+
+
+def test_chordality_output_is_pinned():
+    # A digest of the MCS verdict, its visit order and the chordless-cycle
+    # witness over every graph with m <= 5, seeded G(n, p) graphs and
+    # seeded chordal graphs with m 6-24.  A rewrite of is_chordal must
+    # return the same orderings and witnesses.
+    digest = hashlib.sha256()
+    chordal = 0
+    corpus = _chordality_corpus()
+    for g in corpus:
+        res = is_chordal(g)
+        chordal += res.chordal
+        digest.update(repr((g.m, g.adj, res.chordal, res.ordering,
+                            res.cycle)).encode())
+    assert (len(corpus), chordal) == (2000, 1321)
+    assert digest.hexdigest() == ("db517529b47b50c80af90e5cda9aef6f"
+                                  "d2d4a27eeb2e8b780558ee7619d164cf")
+
+
 def test_reduced_homology_basics():
     assert reduced_homology(SimplicialComplex.points(2))[1].betti == 1
     hs = reduced_homology(SimplicialComplex.cycle(4))
