@@ -7,7 +7,7 @@ The vertex count is capped at 24 so faces fit comfortably in machine-word
 bitmasks and loops over all 2^m vertex subsets stay feasible.
 """
 
-from collections import deque
+from collections import deque, namedtuple
 from functools import lru_cache
 
 from .intlinalg import HomologyGroup, boundary_maps, chain_homology
@@ -338,52 +338,37 @@ def _find_chordless_cycle(graph):
     For every path u - v - w with u, w non-adjacent, a shortest u-w path
     avoiding the rest of N[v] closes up to a chordless cycle through v.
     """
-    m = graph.m
-    for v in range(m):
-        nbrs = list(_bits(graph.adj[v]))
-        for ai in range(len(nbrs)):
-            for bi in range(ai + 1, len(nbrs)):
-                u, w = nbrs[ai], nbrs[bi]
-                if graph.adj[u] >> w & 1:
-                    continue
-                forbidden = (graph.adj[v] | (1 << v)) & ~(1 << u) & ~(1 << w)
-                prev = {u: None}
+    adj = graph.adj
+    for v in range(graph.m):
+        for u in _bits(adj[v]):
+            for w in _bits(adj[v] & ~adj[u] & (-2 << u)):
+                allowed = ~(adj[v] | 1 << v) | 1 << w
+                prev = {u: u}
                 queue = deque([u])
                 while queue and w not in prev:
                     x = queue.popleft()
-                    for y in _bits(graph.adj[x] & ~forbidden):
+                    for y in _bits(adj[x] & allowed):
                         if y not in prev:
                             prev[y] = x
                             queue.append(y)
                 if w in prev:
                     path = [w]
-                    while path[-1] is not None:
+                    while path[-1] != u:
                         path.append(prev[path[-1]])
-                    path.pop()
-                    cycle = [v] + path[::-1]
-                    return tuple(i + 1 for i in cycle)
+                    return tuple(i + 1 for i in [v] + path[::-1])
     return None
 
 
-class Chordality:
+class Chordality(namedtuple("Chordality", "chordal ordering cycle",
+                            defaults=(None, None))):
     """Result of a chordality test: either ``ordering``, a perfect
     elimination ordering read backwards (see :func:`is_chordal`), or a
     chordless cycle with >= 4 vertices."""
 
-    __slots__ = ("chordal", "ordering", "cycle")
-
-    def __init__(self, chordal, ordering=None, cycle=None):
-        self.chordal = chordal
-        self.ordering = ordering
-        self.cycle = cycle
+    __slots__ = ()
 
     def __bool__(self):
         return self.chordal
-
-    def __repr__(self):
-        if self.chordal:
-            return f"Chordality(True, ordering={self.ordering})"
-        return f"Chordality(False, cycle={self.cycle})"
 
 
 def is_chordal(graph):
@@ -391,41 +376,38 @@ def is_chordal(graph):
 
     MCS visits the vertices one by one, always taking an unvisited vertex
     with the most visited neighbours; the graph is chordal iff each
-    vertex's earlier neighbours in this visit order form a clique.
-    ``ordering`` is the visit order: under the usual convention (Rose;
-    Tarjan-Yannakakis: each vertex simplicial among the later ones), a
-    perfect elimination ordering read backwards, as 4, 3, 2, 1 below.  On
-    failure a chordless cycle is located as a certificate.
+    vertex's earlier neighbours in this visit order form a clique, which
+    is checked as each vertex is visited.  ``ordering`` is the visit
+    order: under the usual convention (Rose; Tarjan-Yannakakis: each
+    vertex simplicial among the later ones), a perfect elimination
+    ordering read backwards, as 4, 3, 2, 1 below.  On failure a chordless
+    cycle is located as a certificate.
 
     >>> K = SimplicialComplex.from_maximal_faces(4, [[1, 2, 3], [1, 4]])
     >>> is_chordal(K.one_skeleton()).ordering
     (1, 2, 3, 4)
     """
-    m = graph.m
-    weight = [0] * m
-    position = [0] * m          # 1-based position in visit order
-    order = [0] * m
-    unnumbered = set(range(m))
-    for slot in range(1, m + 1):
-        v = max(unnumbered, key=lambda x: (weight[x], -x))
-        unnumbered.discard(v)
-        position[v] = slot
-        order[slot - 1] = v
-        for y in _bits(graph.adj[v]):
-            if y in unnumbered:
-                weight[y] += 1
-    for v in range(m):
-        earlier = [u for u in _bits(graph.adj[v]) if position[u] < position[v]]
-        for ai in range(len(earlier)):
-            for bi in range(ai + 1, len(earlier)):
-                if not graph.adj[earlier[ai]] >> earlier[bi] & 1:
-                    cycle = _find_chordless_cycle(graph)
-                    if cycle is None:
-                        raise RuntimeError(
-                            "MCS order is not a perfect elimination ordering "
-                            "but no chordless cycle was found")
-                    return Chordality(False, cycle=cycle)
-    return Chordality(True, ordering=tuple(v + 1 for v in order))
+    adj = graph.adj
+    weight = [0] * graph.m
+    unvisited = set(range(graph.m))
+    seen = 0
+    order = []
+    while unvisited:
+        v = max(unvisited, key=lambda x: (weight[x], -x))
+        unvisited.discard(v)
+        earlier = adj[v] & seen
+        if any(earlier & ~adj[u] & ~(1 << u) for u in _bits(earlier)):
+            cycle = _find_chordless_cycle(graph)
+            if cycle is None:
+                raise RuntimeError(
+                    "MCS order is not a perfect elimination ordering "
+                    "but no chordless cycle was found")
+            return Chordality(False, cycle=cycle)
+        seen |= 1 << v
+        order.append(v + 1)
+        for y in _bits(adj[v] & ~seen):
+            weight[y] += 1
+    return Chordality(True, ordering=tuple(order))
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from coxkit import cubical, intlinalg
-from coxkit.commutators import (coxeter_spec, enumerate_generators,
-                                generator_count, generator_words)
+from coxkit import cubical, intlinalg, simplicial
+from coxkit.commutators import (commutator_subgroup_is_free, coxeter_spec,
+                                enumerate_generators, generator_count,
+                                generator_words)
 from coxkit.cubical import (CubeComplex, basis_certificate, build,
                             fundamental_group_presentation, homology,
                             homology_splitting_check, word_class,
@@ -13,8 +14,8 @@ from coxkit.intlinalg import (HomologyGroup, IntMatrix, chain_homology,
                               smith_normal_form)
 from coxkit.simplicial import SimplicialComplex, clique_complex
 from coxkit.words import GroupSpec, commutator, generator, multiply
-from helpers import (RP2, all_complexes, cube_faces, entry, random_complex,
-                     random_graph, wedge_of_circles_signature)
+from helpers import (RP2, all_complexes, all_graphs, cube_faces, entry,
+                     random_complex, random_graph, wedge_of_circles_signature)
 
 C4 = SimplicialComplex.cycle(4)
 PATH4 = SimplicialComplex.from_maximal_faces(4, [[1, 2], [2, 3], [4]])
@@ -593,6 +594,32 @@ def test_wedge_signature():
         else:
             non_seen += 1
             assert not wedge_of_circles_signature(K)
+
+
+def test_freeness_matches_the_cube_homology(monkeypatch):
+    # For flag K the cube model is a K(G', 1): a free G' leaves H_k = 0 for
+    # every k >= 2, and a chordless cycle is a full subcomplex with
+    # reduced H_1 != 0, which gives H_2 != 0.  H_1 is free of rank
+    # generator_count(K) either way.  The splitting check and the reduced
+    # homology of full subcomplexes are barred, so the verdict (clique walk
+    # and MCS) and the homology (Smith kernel) stay independent.
+    def barred(*args):
+        raise AssertionError("the freeness check must not read this")
+
+    monkeypatch.setattr(cubical, "homology_splitting_check", barred)
+    monkeypatch.setattr(cubical, "reduced_homology", barred)
+    monkeypatch.setattr(simplicial, "reduced_homology", barred)
+    seen = not_free = 0
+    for m in range(1, 6):
+        for g in all_graphs(m):
+            K = clique_complex(g)
+            groups = CubeComplex(K).homology()
+            free = commutator_subgroup_is_free(K)
+            assert free == all(h.is_trivial() for h in groups[2:]), g
+            assert groups[1] == HomologyGroup(generator_count(K)), g
+            seen += 1
+            not_free += not free
+    assert (seen, not_free) == (1099, 205)
 
 
 def test_no_caller_reaches_the_euclidean_phase(monkeypatch):

@@ -320,6 +320,25 @@ def test_chordality_output_is_pinned():
                                   "d2d4a27eeb2e8b780558ee7619d164cf")
 
 
+def test_is_chordal_matches_networkx():
+    # the brute-force oracle stops at m = 7; networkx reaches m = 24
+    nx = pytest.importorskip("networkx")
+    checked = 0
+    for g in _chordality_corpus():
+        if g.m < 8:
+            continue
+        graph = nx.Graph(g.edges())
+        graph.add_nodes_from(range(1, g.m + 1))
+        res = is_chordal(g)
+        assert res.chordal == nx.is_chordal(graph)
+        if res.chordal:
+            _check_peo(g, res.ordering)
+        else:
+            _check_chordless(g, res.cycle)
+        checked += 1
+    assert checked == 799
+
+
 def test_reduced_homology_basics():
     assert reduced_homology(SimplicialComplex.points(2))[1].betti == 1
     hs = reduced_homology(SimplicialComplex.cycle(4))
